@@ -41,13 +41,8 @@ Plan server (batched, cached, concurrent Scenario serving)
     keyed by :meth:`repro.api.Scenario.cache_key`),
     :class:`repro.server.PlanServer` / :class:`repro.server.PlanClient`
     (``repro serve`` / ``repro submit``).
-
-Framework (deprecated loose-kwargs entry points)
-    :class:`repro.core.TEMP`, :func:`repro.core.evaluate_baseline`,
-    :func:`repro.core.evaluate_multiwafer`, :func:`repro.core.evaluate_with_faults`.
 """
 
-from repro.core.framework import TEMP, evaluate_baseline
 from repro.api.scenario import (
     HardwareSpec,
     Scenario,
@@ -75,8 +70,6 @@ __all__ = [
     "PlanService",
     "PlanResult",
     "SolverOutcome",
-    "TEMP",
-    "evaluate_baseline",
     "WaferScaleChip",
     "WaferConfig",
     "default_wafer_config",

@@ -13,6 +13,24 @@ zeros / ``None``). ``evaluate_raw`` returns the underlying rich result object
 (:class:`~repro.core.framework.BaselineResult`,
 :class:`~repro.core.multiwafer.MultiWaferResult`, ...) for callers that need
 simulation reports or :class:`~repro.parallelism.spec.ParallelSpec` objects.
+
+Scenarios evaluated on one service share work through two bounded LRU
+memos, both pure memoisation of deterministic computations (so results are
+bit-identical to a fresh service per scenario):
+
+* **wafers** — one resolved wafer per geometry + fabric; its topology's
+  :class:`~repro.hardware.topologies.base.RouteTables` memoise routes, ring
+  orderings, and hop factors for every scenario evaluated on it;
+* **tables** — one solver :class:`~repro.costmodel.tables.CostTables` per
+  hardware document + model, re-sliced with
+  :meth:`~repro.costmodel.tables.CostTables.subset` when a solve only
+  narrows the candidate list.
+
+The hardware document (the scenario's canonical ``hardware`` section) fixes
+the wafer and the simulator knobs, which is what makes a cached table valid
+for every scenario sharing it. Simulation reports are not memoised across
+scenarios: a repeated scenario would then cost nothing, so the price of a
+batch of scenarios would depend on how many of them happen to repeat.
 """
 
 from __future__ import annotations
@@ -20,30 +38,43 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario, ScenarioError
 from repro.core.fault_tolerance import FaultToleranceResult, evaluate_with_faults
 from repro.core.framework import (
     BaselineResult,
+    Simulate,
     run_baseline_scenario,
     scheme_max_tp,
     simulate_fixed_spec,
+    simulate_with_fallback,
 )
 from repro.core.multiwafer import MultiWaferResult, run_multiwafer_scenario
-from repro.costmodel.tables import PlanCache
+from repro.costmodel.tables import CostTables, PlanCache
 from repro.hardware.gpu_cluster import GPUCluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span, tracing_enabled
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import candidate_specs
+from repro.parallelism.spec import ParallelSpec
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.gpu import GPUClusterSimulator
+from repro.simulation.simulator import WaferSimulator
 from repro.solver.dlws import DualLevelWaferSolver, SolverResult
 from repro.solver.genetic import GeneticConfig
+from repro.workloads.models import ModelConfig
+from repro.workloads.transformer import representative_layer_graph
 
 _GB = 1024 ** 3
+
+#: Entry bounds of the service memos (see :meth:`PlanService.stats`). A
+#: wafer carries its route tables (about ``dies**2`` paths); a cost table
+#: holds ``ops x specs`` matrices.
+WAFER_MEMO_SIZE = 16
+TABLES_MEMO_SIZE = 32
 
 #: Result kinds a :class:`PlanResult` can carry.
 RESULT_KINDS = ("single_wafer", "fixed_spec", "multi_wafer", "fault",
@@ -296,13 +327,64 @@ RawResult = Union[BaselineResult, MultiWaferResult, FaultToleranceResult,
                   PlanResult]
 
 
+class _Memo:
+    """A bounded LRU memo (the :class:`PlanCache` ``OrderedDict`` pattern)."""
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: "OrderedDict[object, object]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The entry under ``key`` (now most recent), or ``None``; uncounted."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        """Store ``value``, evicting the least recently used entry if full."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def get_or_build(self, key, build: Callable[[], object]):
+        """The entry under ``key``, built (and counted a miss) when absent."""
+        value = self.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = build()
+        self.put(key, value)
+        return value
+
+    def stats(self) -> Dict[str, int]:
+        """Counter snapshot: ``hits``, ``misses``, ``entries``, ``evictions``."""
+        return {"hits": self.hits, "misses": self.misses,
+                "entries": len(self._entries), "evictions": self.evictions}
+
+
+def _hardware_key(scenario: Scenario) -> str:
+    """Canonical JSON of the scenario's hardware section (the memo scope)."""
+    return json.dumps(scenario.to_dict()["hardware"], sort_keys=True)
+
+
 class PlanService:
     """Facade dispatching scenarios to the framework's evaluation paths.
 
-    One service instance owns one :class:`PlanCache`, so every scenario it
-    evaluates shares memoised ``analyze_model`` results — the same sharing
-    the sweep orchestrator gives each worker. The cache is pure memoisation:
-    results are bit-identical with a private or a shared service.
+    One service instance owns one :class:`PlanCache` plus the wafer and
+    cost-table memos (see the module docstring), so every
+    scenario it evaluates shares that work — the same sharing the sweep
+    orchestrator gives each worker. All of it is pure memoisation: results
+    are bit-identical with a private or a shared service.
     """
 
     def __init__(self, plan_cache: Optional[PlanCache] = None,
@@ -314,35 +396,26 @@ class PlanService:
         self._evaluate_hist = self.registry.histogram(
             "service.evaluate_seconds",
             help="end-to-end PlanService.evaluate latency")
-        self._wafers: Dict[Tuple, WaferScaleChip] = {}
+        self._wafers = _Memo(WAFER_MEMO_SIZE)
+        self._tables = _Memo(TABLES_MEMO_SIZE)
 
     def stats(self) -> Dict[str, object]:
         """Plain-JSON service counters.
 
         ``plan_cache`` is :meth:`PlanCache.stats` (hit/miss/size),
-        ``wafers_cached`` the number of distinct hardware geometries
-        resolved. Surfaced by ``repro plan --stats`` and the plan server's
-        ``GET /metrics``.
+        ``wafers_cached`` the number of distinct hardware geometries held,
+        and ``memos`` the ``hits`` / ``misses`` / ``entries`` /
+        ``evictions`` of the wafer and cost-table memos. Surfaced
+        by ``repro plan --stats`` and the plan server's ``GET /metrics``.
         """
         return {
             "plan_cache": self.plan_cache.stats(),
             "wafers_cached": len(self._wafers),
+            "memos": {"wafers": self._wafers.stats(),
+                      "tables": self._tables.stats()},
         }
 
-    # Batching hooks ---------------------------------------------------------------
-    # Overridden by repro.costmodel.portfolio.BatchedPlanService to share
-    # simulation reports and cost tables across the points of a portfolio.
-    # The base service never batches, so both return None.
-
-    def _report_cache_for(self, scenario: Scenario):
-        """Optional report memo for the single-wafer search paths."""
-        return None
-
-    def _tables_provider_for(self, scenario: Scenario):
-        """Optional ``CostTables`` provider for the dual-level solver."""
-        return None
-
-    # Resolution caches ------------------------------------------------------------
+    # Memos ------------------------------------------------------------------------
 
     def wafer_for(self, hardware: HardwareSpec) -> WaferScaleChip:
         """A healthy wafer for ``hardware``, built once per geometry + fabric."""
@@ -350,20 +423,56 @@ class PlanService:
                     if hardware.topology is not None else None)
         key = (hardware.rows, hardware.cols, hardware.d2d_bandwidth,
                hardware.hbm_capacity, topology)
-        wafer = self._wafers.get(key)
-        if wafer is None:
-            wafer = hardware.resolve_wafer()
-            self._wafers[key] = wafer
-        return wafer
+        return self._wafers.get_or_build(key, hardware.resolve_wafer)
+
+    def _simulate_for(self, scenario: Scenario,
+                      wafer: WaferScaleChip) -> Simulate:
+        """``simulate(spec, allow_checkpointing)`` on the shared wafer and plan cache."""
+        simulator = WaferSimulator(wafer, scenario.hardware.resolve_simulator())
+        model = scenario.workload.resolve()
+        engine = scenario.solver.engine
+
+        def simulate(spec: ParallelSpec, allow_checkpointing: bool):
+            return simulate_with_fallback(simulator, self.plan_cache, model,
+                                          spec, engine, allow_checkpointing)
+
+        return simulate
+
+    def _tables_for(self, scenario: Scenario, wafer: WaferScaleChip,
+                    config: SimulatorConfig):
+        """The solver's ``(model, candidates) -> CostTables`` provider.
+
+        A solve whose candidates the memoised tables of its (hardware,
+        model) cover gets a :meth:`CostTables.subset` view of them: cells
+        are gathered, never rebuilt, yet the view counts its
+        ``cells_materialized`` (the solve's reported ``evaluations``) exactly
+        like fresh tables would. Any other list builds fresh tables, which
+        replace the memoised ones when they cover more specs.
+        """
+        hardware_key = _hardware_key(scenario)
+
+        def provider(model: ModelConfig,
+                     candidates: Sequence[ParallelSpec]) -> CostTables:
+            key = (hardware_key, model)
+            wanted = list(candidates)
+            parent = self._tables.get(key)
+            if parent is not None and all(spec in parent.spec_index
+                                          for spec in wanted):
+                self._tables.hits += 1
+                return parent.subset(wanted)
+            self._tables.misses += 1
+            tables = CostTables(
+                representative_layer_graph(model), wanted, wafer.config,
+                config, hop_factor=wafer.topology.collective_hop_factor())
+            if parent is None or len(wanted) > len(parent.candidates):
+                self._tables.put(key, tables)
+            return tables
+
+        return provider
 
     # Entry points ----------------------------------------------------------------
 
-    def evaluate(
-        self,
-        scenario: Scenario,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-    ) -> PlanResult:
+    def evaluate(self, scenario: Scenario) -> PlanResult:
         """Evaluate ``scenario`` and return the flat :class:`PlanResult`.
 
         With tracing enabled the result additionally carries a
@@ -375,7 +484,7 @@ class PlanService:
         start = time.perf_counter()
         with span("service.evaluate",
                   model=scenario.workload.model) as evaluate_span:
-            raw = self.evaluate_raw(scenario, wafer=wafer, config=config)
+            raw = self.evaluate_raw(scenario)
             if isinstance(raw, PlanResult):
                 result = raw
             elif isinstance(raw, MultiWaferResult):
@@ -402,36 +511,22 @@ class PlanService:
             })
         return result
 
-    def evaluate_raw(
-        self,
-        scenario: Scenario,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-    ) -> RawResult:
-        """Evaluate ``scenario`` and return the path's rich result object.
-
-        ``wafer`` / ``config`` are internal overrides for callers that
-        already hold the (identical) resolved objects; they default to what
-        the scenario's hardware spec resolves to.
-        """
+    def evaluate_raw(self, scenario: Scenario) -> RawResult:
+        """Evaluate ``scenario`` and return the path's rich result object."""
         hardware = scenario.hardware
         if hardware.platform == "gpu_cluster":
-            return self._evaluate_gpu(scenario, config=config)
+            return self._evaluate_gpu(scenario)
         if hardware.num_wafers > 1:
             return run_multiwafer_scenario(scenario,
                                            plan_cache=self.plan_cache)
         if hardware.has_fault_study:
-            return self._evaluate_faults(scenario, config=config)
-        wafer = wafer if wafer is not None else self.wafer_for(hardware)
-        config = config if config is not None else hardware.resolve_simulator()
-        report_cache = self._report_cache_for(scenario)
+            return self._evaluate_faults(scenario)
+        wafer = self.wafer_for(hardware)
+        simulate = self._simulate_for(scenario, wafer)
         if scenario.solver.fixed_spec is not None:
-            return simulate_fixed_spec(
-                scenario, plan_cache=self.plan_cache, wafer=wafer,
-                config=config, report_cache=report_cache)
-        return run_baseline_scenario(
-            scenario, plan_cache=self.plan_cache, wafer=wafer, config=config,
-            report_cache=report_cache)
+            return simulate_fixed_spec(scenario, simulate)
+        return run_baseline_scenario(scenario, self.plan_cache, wafer,
+                                     simulate)
 
     def solve(self, scenario: Scenario) -> SolverOutcome:
         """Run the dual-level solver on ``scenario`` (flat outcome)."""
@@ -451,13 +546,15 @@ class PlanService:
         if solver_spec.ga_generations is not None:
             genetic_config = GeneticConfig(
                 generations=solver_spec.ga_generations)
+        wafer = self.wafer_for(scenario.hardware)
+        config = scenario.hardware.resolve_simulator() or SimulatorConfig()
         solver = DualLevelWaferSolver(
-            wafer=self.wafer_for(scenario.hardware),
-            config=scenario.hardware.resolve_simulator(),
+            wafer=wafer,
+            config=config,
             genetic_config=genetic_config,
             num_finalists=solver_spec.num_finalists,
             mapping_engine=solver_spec.engine,
-            tables_provider=self._tables_provider_for(scenario),
+            tables_provider=self._tables_for(scenario, wafer, config),
         )
         return solver.solve(
             scenario.workload.resolve(),
@@ -468,9 +565,7 @@ class PlanService:
 
     # Dispatch targets -------------------------------------------------------------
 
-    def _evaluate_faults(
-        self, scenario: Scenario, config: Optional[SimulatorConfig] = None
-    ) -> FaultToleranceResult:
+    def _evaluate_faults(self, scenario: Scenario) -> FaultToleranceResult:
         """Fault-tolerance path: pinned spec on a healthy vs faulty wafer."""
         solver = scenario.solver
         if solver.fixed_spec is None:
@@ -482,24 +577,19 @@ class PlanService:
             scenario.workload.resolve(),
             solver.resolve_fixed_spec(),
             fault_model,
-            config=(config if config is not None
-                    else scenario.hardware.resolve_simulator()),
+            config=scenario.hardware.resolve_simulator(),
             engine=solver.engine,
             wafer_config=scenario.hardware.resolve_config(),
         )
 
-    def _evaluate_gpu(
-        self, scenario: Scenario, config: Optional[SimulatorConfig] = None
-    ) -> PlanResult:
+    def _evaluate_gpu(self, scenario: Scenario) -> PlanResult:
         """GPU comparator path: best non-OOM configuration on the cluster."""
         model = scenario.workload.resolve()
         solver = scenario.solver
         scheme = solver.resolved_scheme()
         cluster = GPUCluster()
         simulator = GPUClusterSimulator(
-            cluster,
-            config if config is not None
-            else scenario.hardware.resolve_simulator())
+            cluster, scenario.hardware.resolve_simulator())
         num_devices = cluster.num_devices
         specs = candidate_specs(
             scheme, num_devices, max_tp=scheme_max_tp(scheme, model),

@@ -1,8 +1,9 @@
 """The TEMP framework: end-to-end partition-mapping co-optimisation.
 
-* :mod:`repro.core.framework` — the :class:`TEMP` entry point plus the baseline
-  evaluation helpers (scheme x mapping-engine grid of the paper's figures) and
-  the ablation switches (+TATP, +TCME).
+* :mod:`repro.core.framework` — the baseline search engine behind
+  :meth:`repro.api.PlanService.evaluate` (scheme x mapping-engine grid of the
+  paper's figures; the TEMP framework and its +TATP / +TCME ablation switches
+  are scenarios built with ``SolverSpec.for_framework``).
 * :mod:`repro.core.metrics` — normalisation and aggregation helpers for the
   figures (speedups, geometric means, breakdown tables).
 * :mod:`repro.core.multiwafer` — pipeline scheduling across multiple wafers
@@ -11,20 +12,17 @@
   Fig. 20 (localise/classify, re-balance partitions, re-route communication).
 """
 
-from repro.core.framework import TEMP, BaselineResult, evaluate_baseline
+from repro.core.framework import BaselineResult
 from repro.core.metrics import geometric_mean, normalize_to, speedup
-from repro.core.multiwafer import MultiWaferResult, evaluate_multiwafer
+from repro.core.multiwafer import MultiWaferResult
 from repro.core.fault_tolerance import FaultToleranceResult, evaluate_with_faults
 
 __all__ = [
-    "TEMP",
     "BaselineResult",
-    "evaluate_baseline",
     "geometric_mean",
     "normalize_to",
     "speedup",
     "MultiWaferResult",
-    "evaluate_multiwafer",
     "FaultToleranceResult",
     "evaluate_with_faults",
 ]

@@ -1,44 +1,41 @@
-"""The TEMP framework and the baseline evaluation grid.
+"""The baseline evaluation engine behind the Scenario API.
 
-:class:`TEMP` is the end-to-end entry point of the reproduction: given a wafer
-and a model, it searches the TATP-enabled configuration space with the
-dual-level solver, maps the winner with the traffic-conscious mapping engine,
-and returns the simulated training-step report.
+:func:`run_baseline_scenario` is the engine room of
+:meth:`repro.api.PlanService.evaluate` for single-wafer searches: it
+consumes a :class:`~repro.api.scenario.Scenario`, enumerates the scheme's
+candidate configurations, simulates each with the requested mapping engine,
+and keeps the best-performing configuration that does not run out of memory
+(reporting the OOM if none fits). :func:`simulate_fixed_spec` is the
+no-search variant for scenarios that pin one :class:`ParallelSpec`.
 
-:func:`run_baseline_scenario` is the engine room behind the Scenario API
-(:mod:`repro.api`): it consumes a :class:`~repro.api.scenario.Scenario`,
-enumerates the scheme's candidate configurations, simulates each with the
-requested mapping engine, and keeps the best-performing configuration that
-does not run out of memory (reporting the OOM if none fits).
-:func:`simulate_fixed_spec` is the no-search variant for scenarios that pin
-one :class:`ParallelSpec`.
-
-:func:`evaluate_baseline` is the deprecated loose-kwargs predecessor; it is a
-thin shim over the same search and returns bit-identical results (pinned by
-``tests/api/test_service.py``). New code should build a ``Scenario`` and call
-:meth:`repro.api.PlanService.evaluate` instead.
+Both take a ``simulate(spec, allow_checkpointing)`` callable instead of a
+simulator, which the plan service binds to its shared wafer and plan cache;
+:func:`simulate_with_fallback` is the computation behind it.
+The TEMP framework itself (TATP + TCME + DLWS, with its +TATP / +TCME
+ablation switches) is a scenario too: see
+:meth:`~repro.api.scenario.SolverSpec.for_framework`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.api.scenario import SolverSpec
 from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
-from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.dlws import DualLevelWaferSolver, SolverResult
 from repro.solver.search_space import prune_specs
 from repro.workloads.models import ModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
+
+#: ``simulate(spec, allow_checkpointing) -> report`` for one scenario's
+#: model, wafer, simulator knobs, and mapping engine.
+Simulate = Callable[[ParallelSpec, bool], SimulationReport]
 
 
 @dataclass
@@ -72,172 +69,35 @@ def scheme_max_tp(scheme: BaselineScheme, model: ModelConfig) -> int:
     return min(32, model.num_heads)
 
 
-def evaluate_baseline(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    max_tatp: int = 32,
-    pipeline_degrees: Sequence[int] = (1,),
-    max_candidates: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-) -> BaselineResult:
-    """Deprecated loose-kwargs front of the baseline search.
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` and call
-        :meth:`repro.api.PlanService.evaluate` (or ``evaluate_raw``)
-        instead. This shim delegates to the same search and returns
-        bit-identical results.
-    """
-    warnings.warn(
-        "evaluate_baseline() is deprecated; build a Scenario and use "
-        "repro.api.PlanService.evaluate instead",
-        DeprecationWarning, stacklevel=2)
-    return _search_baseline(
-        scheme, engine, model, wafer=wafer, config=config, max_tatp=max_tatp,
-        pipeline_degrees=pipeline_degrees, max_candidates=max_candidates,
-        plan_cache=plan_cache)
-
-
 def run_baseline_scenario(
     scenario: "Scenario",
-    plan_cache: Optional[PlanCache] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    report_cache=None,
+    plan_cache: PlanCache,
+    wafer: WaferScaleChip,
+    simulate: Simulate,
 ) -> BaselineResult:
     """Run the single-wafer baseline search described by ``scenario``.
 
-    ``wafer`` and ``config`` default to what the scenario's hardware spec
-    resolves to; callers holding an already-built (identical) wafer may pass
-    it to skip reconstruction. ``plan_cache`` lets a caller evaluating many
-    scenarios — e.g. a sweep-orchestrator worker — share one memoised
-    ``analyze_model`` across evaluations; the cache is pure memoisation, so
-    results are identical with a private or a shared cache. ``report_cache``
-    (a :class:`repro.costmodel.portfolio.ReportCache`) additionally memoises
-    whole simulation reports across scenarios that pin the same wafer and
-    simulator configuration.
+    Every candidate configuration of the scheme is analysed and simulated
+    on ``wafer``; the fastest configuration that fits in memory wins. When
+    no configuration fits, the result is flagged OOM and carries the
+    least-over-capacity report (this is how the OOM bars of Fig. 13 are
+    produced). ``plan_cache`` shares memoised ``analyze_model`` results
+    across evaluations; it is pure memoisation, so results are identical
+    with a private or a shared cache.
     """
     solver = scenario.solver
-    return _search_baseline(
-        solver.resolved_scheme(),
-        solver.engine,
-        scenario.workload.resolve(),
-        wafer=wafer if wafer is not None else scenario.hardware.resolve_wafer(),
-        config=config if config is not None else scenario.hardware.resolve_simulator(),
-        max_tatp=solver.max_tatp,
-        pipeline_degrees=solver.pipeline_degrees,
-        max_candidates=solver.max_candidates,
-        plan_cache=plan_cache,
-        report_cache=report_cache,
-    )
-
-
-def simulate_fixed_spec(
-    scenario: "Scenario",
-    plan_cache: Optional[PlanCache] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    report_cache=None,
-) -> BaselineResult:
-    """Evaluate the one pinned configuration of a fixed-spec scenario.
-
-    No search happens: the solver spec's ``fixed_spec`` is analysed and
-    simulated as-is (with the usual activation-checkpointing retry on OOM,
-    unless the scenario disables ``allow_checkpoint_fallback``).
-    """
-    solver = scenario.solver
-    spec = solver.resolve_fixed_spec()
+    scheme = solver.resolved_scheme()
+    engine = solver.engine
     model = scenario.workload.resolve()
-    wafer = wafer if wafer is not None else scenario.hardware.resolve_wafer()
-    config = (config if config is not None
-              else scenario.hardware.resolve_simulator())
-    plan_cache = plan_cache if plan_cache is not None else PlanCache()
-    simulator = WaferSimulator(wafer, config)
-    with span("evaluate.simulate", spec=spec.label()):
-        report = _simulate_with_fallback(
-            simulator, plan_cache, model, spec, wafer.num_dies, solver.engine,
-            allow_checkpointing=solver.allow_checkpoint_fallback,
-            report_cache=report_cache)
-    return BaselineResult(
-        scheme=solver.resolved_scheme(),
-        engine=solver.engine,
-        model=model,
-        best_spec=spec,
-        report=report,
-        oom=report.oom,
-        candidates_evaluated=1,
-        all_reports={spec.label(): report},
-    )
-
-
-def _simulate_with_fallback(
-    simulator: WaferSimulator,
-    plan_cache: PlanCache,
-    model: ModelConfig,
-    spec: ParallelSpec,
-    num_devices: int,
-    engine: str,
-    allow_checkpointing: bool,
-    report_cache=None,
-) -> SimulationReport:
-    """Simulate one spec, retrying with activation checkpointing on OOM.
-
-    ``report_cache`` (duck-typed; see
-    :class:`repro.costmodel.portfolio.ReportCache`) memoises the final report
-    per ``(model, spec, num_devices, engine, allow_checkpointing)`` — valid
-    only while the simulator's wafer and config stay fixed, which the cache
-    owner guarantees by scoping one cache per hardware group.
-    """
-    if report_cache is not None:
-        return report_cache.simulate(
-            simulator, plan_cache, model, spec, num_devices, engine,
-            allow_checkpointing)
-    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
-    report = simulator.simulate(plan, engine=engine)
-    if report.oom and allow_checkpointing:
-        checkpointed_plan = plan_cache.analyze(
-            model, spec, num_devices=num_devices,
-            activation_checkpointing=True)
-        checkpointed = simulator.simulate(checkpointed_plan, engine=engine)
-        if not checkpointed.oom:
-            report = checkpointed
-    return report
-
-
-def _search_baseline(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    max_tatp: int = 32,
-    pipeline_degrees: Sequence[int] = (1,),
-    max_candidates: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    report_cache=None,
-) -> BaselineResult:
-    """Evaluate one scheme with one mapping engine on one model.
-
-    Every candidate configuration of the scheme is analysed and simulated;
-    the fastest configuration that fits in memory wins. When no configuration
-    fits, the result is flagged OOM and carries the least-over-capacity
-    report (this is how the OOM bars of Fig. 13 are produced).
-    """
-    wafer = wafer or WaferScaleChip()
-    simulator = WaferSimulator(wafer, config)
     num_devices = wafer.num_dies
     # Pruning and the simulation loop below analyse the same specs; the plan
     # cache derives each execution plan exactly once.
-    plan_cache = plan_cache if plan_cache is not None else PlanCache()
     with span("evaluate.candidates", scheme=scheme.value):
         all_specs = candidate_specs(
             scheme, num_devices,
             max_tp=scheme_max_tp(scheme, model),
-            max_tatp=max_tatp,
-            pipeline_degrees=pipeline_degrees,
+            max_tatp=solver.max_tatp,
+            pipeline_degrees=solver.pipeline_degrees,
         )
         specs = prune_specs(all_specs, model, wafer.config, memory_margin=2.0,
                             plan_cache=plan_cache)
@@ -249,6 +109,7 @@ def _search_baseline(
                 all_specs,
                 key=lambda s: plan_cache.analyze(
                     model, s, num_devices=num_devices).memory.total)]
+        max_candidates = solver.max_candidates
         if max_candidates is not None and len(specs) > max_candidates:
             specs = downsample_specs(specs, max_candidates)
 
@@ -265,10 +126,7 @@ def _search_baseline(
 
     with span("evaluate.simulate", candidates=len(specs)):
         for spec in specs:
-            report = _simulate_with_fallback(
-                simulator, plan_cache, model, spec, num_devices, engine,
-                allow_checkpointing=allow_checkpointing,
-                report_cache=report_cache)
+            report = simulate(spec, allow_checkpointing)
             reports[spec.label()] = report
             if report.oom:
                 if (fallback_report is None
@@ -291,6 +149,52 @@ def _search_baseline(
         candidates_evaluated=len(specs), all_reports=reports)
 
 
+def simulate_fixed_spec(scenario: "Scenario",
+                        simulate: Simulate) -> BaselineResult:
+    """Evaluate the one pinned configuration of a fixed-spec scenario.
+
+    No search happens: the solver spec's ``fixed_spec`` is analysed and
+    simulated as-is (with the usual activation-checkpointing retry on OOM,
+    unless the scenario disables ``allow_checkpoint_fallback``).
+    """
+    solver = scenario.solver
+    spec = solver.resolve_fixed_spec()
+    with span("evaluate.simulate", spec=spec.label()):
+        report = simulate(spec, solver.allow_checkpoint_fallback)
+    return BaselineResult(
+        scheme=solver.resolved_scheme(),
+        engine=solver.engine,
+        model=scenario.workload.resolve(),
+        best_spec=spec,
+        report=report,
+        oom=report.oom,
+        candidates_evaluated=1,
+        all_reports={spec.label(): report},
+    )
+
+
+def simulate_with_fallback(
+    simulator: WaferSimulator,
+    plan_cache: PlanCache,
+    model: ModelConfig,
+    spec: ParallelSpec,
+    engine: str,
+    allow_checkpointing: bool,
+) -> SimulationReport:
+    """Simulate one spec, retrying with activation checkpointing on OOM."""
+    num_devices = simulator.wafer.num_dies
+    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
+    report = simulator.simulate(plan, engine=engine)
+    if report.oom and allow_checkpointing:
+        checkpointed_plan = plan_cache.analyze(
+            model, spec, num_devices=num_devices,
+            activation_checkpointing=True)
+        checkpointed = simulator.simulate(checkpointed_plan, engine=engine)
+        if not checkpointed.oom:
+            report = checkpointed
+    return report
+
+
 def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec]:
     """Evenly subsample a candidate list while keeping both endpoints."""
     if limit >= len(specs):
@@ -303,103 +207,3 @@ def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec
     stride = (len(specs) - 1) / (limit - 1)
     return [specs[min(round(index * stride), len(specs) - 1)]
             for index in range(limit)]
-
-
-#: Backwards-compatible alias (the helper predates the Scenario API).
-_downsample = downsample_specs
-
-
-class TEMP:
-    """End-to-end TEMP framework (TATP + TCME + DLWS).
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` (with
-        :meth:`~repro.api.scenario.SolverSpec.for_framework` for the ablation
-        switches) and call :class:`repro.api.PlanService` instead. The class
-        keeps working and returns bit-identical results.
-
-    Args:
-        wafer: the wafer-scale chip to optimise for (Table I, 4x8 by default).
-        config: simulator efficiency knobs.
-        enable_tatp: include TATP in the configuration space (ablation switch).
-        enable_tcme: use the traffic-conscious mapping engine; when disabled
-            the naive sequential mapper is used instead (ablation switch).
-        max_tatp: cap on the TATP degree the solver explores.
-        plan_cache: optional shared ``analyze_model`` memoisation (see
-            :func:`run_baseline_scenario`).
-    """
-
-    def __init__(
-        self,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-        enable_tatp: bool = True,
-        enable_tcme: bool = True,
-        max_tatp: int = 32,
-        plan_cache: Optional[PlanCache] = None,
-    ) -> None:
-        warnings.warn(
-            "TEMP() is deprecated; build a Scenario with "
-            "SolverSpec.for_framework(...) and use repro.api.PlanService "
-            "instead", DeprecationWarning, stacklevel=2)
-        self.wafer = wafer or WaferScaleChip()
-        self.config = config or SimulatorConfig()
-        self.enable_tatp = enable_tatp
-        self.enable_tcme = enable_tcme
-        self.max_tatp = max_tatp if enable_tatp else 1
-        self.plan_cache = plan_cache
-
-    def _solver_spec(
-        self,
-        pipeline_degrees: Sequence[int] = (1,),
-        max_candidates: Optional[int] = None,
-    ) -> SolverSpec:
-        """The framework's solver spec (single home of scheme resolution)."""
-        return SolverSpec.for_framework(
-            enable_tatp=self.enable_tatp,
-            enable_tcme=self.enable_tcme,
-            max_tatp=self.max_tatp,
-            pipeline_degrees=pipeline_degrees,
-            max_candidates=max_candidates,
-        )
-
-    @property
-    def mapping_engine(self) -> str:
-        """Name of the mapping engine the framework uses."""
-        return self._solver_spec().engine
-
-    def optimize(
-        self,
-        model: ModelConfig,
-        pipeline_degrees: Sequence[int] = (1,),
-        max_candidates: Optional[int] = None,
-    ) -> BaselineResult:
-        """Find and simulate the best TEMP configuration for ``model``.
-
-        Returns a :class:`BaselineResult` so TEMP slots into the same reporting
-        pipeline as the baselines.
-        """
-        solver = self._solver_spec(pipeline_degrees=pipeline_degrees,
-                                   max_candidates=max_candidates)
-        return _search_baseline(
-            solver.resolved_scheme(),
-            solver.engine,
-            model,
-            wafer=self.wafer,
-            config=self.config,
-            max_tatp=solver.max_tatp,
-            pipeline_degrees=solver.pipeline_degrees,
-            max_candidates=solver.max_candidates,
-            plan_cache=self.plan_cache,
-        )
-
-    def solve(self, model: ModelConfig) -> SolverResult:
-        """Run the full dual-level solver (DP + GA + simulator finalists)."""
-        solver_spec = self._solver_spec()
-        solver = DualLevelWaferSolver(
-            wafer=self.wafer,
-            config=self.config,
-            mapping_engine=solver_spec.engine,
-        )
-        return solver.solve(model, scheme=solver_spec.resolved_scheme(),
-                            max_tatp=solver_spec.max_tatp)

@@ -15,7 +15,6 @@ the bubble term.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -79,34 +78,6 @@ def pipeline_degrees_for(
     return degrees
 
 
-def evaluate_multiwafer(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    num_wafers: int,
-    config: Optional[SimulatorConfig] = None,
-    num_microbatches: int = 16,
-    max_tatp: int = 32,
-    plan_cache: Optional[PlanCache] = None,
-) -> MultiWaferResult:
-    """Deprecated loose-kwargs front of the multi-wafer search.
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` with
-        ``HardwareSpec(num_wafers=...)`` and call
-        :meth:`repro.api.PlanService.evaluate` instead. This shim delegates
-        to the same search and returns bit-identical results.
-    """
-    warnings.warn(
-        "evaluate_multiwafer() is deprecated; build a Scenario with "
-        "HardwareSpec(num_wafers=...) and use repro.api.PlanService.evaluate "
-        "instead", DeprecationWarning, stacklevel=2)
-    return _search_multiwafer(
-        scheme, engine, model, num_wafers, config=config,
-        num_microbatches=num_microbatches, max_tatp=max_tatp,
-        plan_cache=plan_cache)
-
-
 def run_multiwafer_scenario(
     scenario: "Scenario",
     plan_cache: Optional[PlanCache] = None,
@@ -119,36 +90,16 @@ def run_multiwafer_scenario(
     evaluations (pure memoisation; results are identical with or without it).
     """
     solver = scenario.solver
-    return _search_multiwafer(
-        solver.resolved_scheme(),
-        solver.engine,
-        scenario.workload.resolve(),
-        scenario.hardware.num_wafers,
-        config=scenario.hardware.resolve_simulator(),
-        num_microbatches=scenario.hardware.num_microbatches,
-        max_tatp=solver.max_tatp,
-        plan_cache=plan_cache,
-        wafer_config=scenario.hardware.resolve_config(),
-    )
-
-
-def _search_multiwafer(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    num_wafers: int,
-    config: Optional[SimulatorConfig] = None,
-    num_microbatches: int = 16,
-    max_tatp: int = 32,
-    plan_cache: Optional[PlanCache] = None,
-    wafer_config=None,
-) -> MultiWaferResult:
-    """Evaluate one scheme + mapping engine on a multi-wafer system."""
-    if num_wafers < 1:
-        raise ValueError("num_wafers must be >= 1")
-    config = config or SimulatorConfig()
+    hardware = scenario.hardware
+    scheme = solver.resolved_scheme()
+    engine = solver.engine
+    model = scenario.workload.resolve()
+    num_wafers = hardware.num_wafers
+    num_microbatches = hardware.num_microbatches
+    config = hardware.resolve_simulator() or SimulatorConfig()
     plan_cache = plan_cache if plan_cache is not None else PlanCache()
-    system = MultiWaferSystem(num_wafers, wafer_config=wafer_config)
+    system = MultiWaferSystem(num_wafers,
+                              wafer_config=hardware.resolve_config())
     wafer = system.wafers[0]
     simulator = WaferSimulator(wafer, config)
     dies_per_wafer = wafer.config.num_dies
@@ -163,7 +114,7 @@ def _search_multiwafer(
         specs = candidate_specs(
             scheme, system.total_dies,
             max_tp=min(32, model.num_heads),
-            max_tatp=max_tatp,
+            max_tatp=solver.max_tatp,
             pipeline_degrees=(pp,),
         )
         specs = prune_specs(specs, model, wafer.config, memory_margin=2.0,

@@ -22,10 +22,8 @@ from repro.api.service import PlanResult, PlanService
 from repro.core.framework import BaselineResult
 from repro.core.metrics import geometric_mean
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 #: The six baseline (scheme, engine) pairs of the figure, in label order.
@@ -158,8 +156,6 @@ class OverallComparison:
 def evaluate_system_result(
     model_name: str,
     system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> BaselineResult:
@@ -173,37 +169,29 @@ def evaluate_system_result(
     """
     if service is None:
         service = PlanService(plan_cache=plan_cache)
-    return service.evaluate_raw(scenario_for_system(model_name, system),
-                                wafer=wafer, config=config)
+    return service.evaluate_raw(scenario_for_system(model_name, system))
 
 
 def evaluate_system(
     model_name: str,
     system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> OverallCell:
     """Evaluate one (model, system) cell of the Fig. 13 grid."""
-    result = evaluate_system_result(model_name, system, wafer=wafer,
-                                    config=config, plan_cache=plan_cache,
-                                    service=service)
+    result = evaluate_system_result(model_name, system,
+                                    plan_cache=plan_cache, service=service)
     return _cell_from(model_name, system, PlanResult.from_baseline(result))
 
 
 def run_overall_comparison(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> OverallComparison:
     """Run the Fig. 13 grid.
 
     Args:
         models: model names to evaluate (defaults to all of Table II).
-        wafer: wafer configuration (defaults to the 4x8 Table I wafer).
-        config: simulator knobs.
         plan_cache: optional shared ``analyze_model`` memoisation.
 
     Returns:
@@ -215,7 +203,7 @@ def run_overall_comparison(
     for name in model_names:
         for system in SYSTEMS:
             comparison.cells.append(evaluate_system(
-                name, system, wafer=wafer, config=config, service=service))
+                name, system, service=service))
     return comparison
 
 

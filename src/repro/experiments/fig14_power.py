@@ -20,9 +20,7 @@ from repro.experiments.fig13_overall import (
     evaluate_system_result,
     scenario_for_system,
 )
-from repro.hardware.wafer import WaferScaleChip
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 
@@ -112,22 +110,17 @@ class PowerComparison:
 def evaluate_power_system(
     model_name: str,
     system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> PowerCell:
     """Evaluate one (model, system) cell of the Fig. 14 grid."""
-    result = evaluate_system_result(model_name, system, wafer=wafer,
-                                    config=config, plan_cache=plan_cache,
-                                    service=service)
+    result = evaluate_system_result(model_name, system,
+                                    plan_cache=plan_cache, service=service)
     return _cell_from(model_name, system, PlanResult.from_baseline(result))
 
 
 def run_power_comparison(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> PowerComparison:
     """Run the Fig. 14 grid (power breakdown + efficiency)."""
@@ -137,7 +130,7 @@ def run_power_comparison(
     for name in model_names:
         for system in SYSTEMS:
             comparison.cells.append(evaluate_power_system(
-                name, system, wafer=wafer, config=config, service=service))
+                name, system, service=service))
     return comparison
 
 

@@ -21,9 +21,7 @@ from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
 from repro.core.metrics import geometric_mean
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 #: Ablation step labels, in order.
@@ -92,8 +90,6 @@ class AblationStudy:
 def evaluate_ablation_step(
     model_name: str,
     step: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ):
@@ -103,14 +99,11 @@ def evaluate_ablation_step(
     """
     if service is None:
         service = PlanService(plan_cache=plan_cache)
-    return service.evaluate_raw(scenario_for_step(model_name, step),
-                                wafer=wafer, config=config)
+    return service.evaluate_raw(scenario_for_step(model_name, step))
 
 
 def run_ablation(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> AblationStudy:
     """Run the Fig. 16 ablation."""
@@ -120,8 +113,7 @@ def run_ablation(
     for name in model_names:
         row = AblationRow(model=name)
         for step in ABLATION_STEPS:
-            result = evaluate_ablation_step(name, step, wafer=wafer,
-                                            config=config, service=service)
+            result = evaluate_ablation_step(name, step, service=service)
             row.throughput[step] = (
                 result.report.throughput if result.report else 0.0)
             row.specs[step] = (

@@ -141,12 +141,12 @@ def run_multiwafer_study(
                                       num_microbatches=num_microbatches),
                 solver=SolverSpec(scheme=scheme.value, engine=engine),
             )
-            study.cells.append(evaluate_multiwafer_cell(
+            study.cells.append(evaluate_pipelined_cell(
                 scenario, label, service=service))
     return study
 
 
-def evaluate_multiwafer_cell(
+def evaluate_pipelined_cell(
     scenario: Scenario,
     label: str,
     service: Optional[PlanService] = None,
@@ -188,7 +188,7 @@ def evaluate_multiwafer_cell(
 )
 def multiwafer_cell(ctx, model, system):
     """One (model, system) cell of Fig. 19."""
-    cell = evaluate_multiwafer_cell(
+    cell = evaluate_pipelined_cell(
         scenario_for_multiwafer(model, system), system, service=ctx.service)
     return [{
         "num_wafers": cell.num_wafers,

@@ -7,8 +7,7 @@ This subpackage models the physical substrate the TEMP framework targets:
 * :mod:`repro.hardware.topologies` — the topology zoo: registered
   interconnect fabric families (the paper's 2D mesh by default, plus torus,
   stacked 3D mesh, hierarchical chiplet, express-channel mesh) sharing one
-  ``Topology`` protocol for links, routing, and ring enumeration
-  (:mod:`repro.hardware.topology` remains as a deprecated import shim).
+  ``Topology`` protocol for links, routing, and ring enumeration.
 * :mod:`repro.hardware.wafer` — the :class:`WaferScaleChip` system object that
   ties a configuration to a topology and exposes per-die resources.
 * :mod:`repro.hardware.multiwafer` — multi-wafer systems connected by

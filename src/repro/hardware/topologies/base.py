@@ -20,9 +20,7 @@ The base class owns everything that follows from the link set alone:
 * contiguous-ring enumeration (rectangle fast path + backtracking
   Hamiltonian search) and ring hop penalties,
 * near-square partitioning into die groups,
-* the opt-in :class:`RouteTables` memo, generalised here so every family
-  gets route/ring memoisation for free (it used to live on
-  ``MeshTopology`` only).
+* the :class:`RouteTables` memo every family gets for free.
 
 Families implement :meth:`Topology._link_specs` (and usually override
 :meth:`hop_distance`/:meth:`collective_hop_factor` with cheaper analytic
@@ -54,12 +52,12 @@ class RouteTables:
     topology instance. The tables cache exactly those return values, so a
     cache hit is bit-identical to a recomputation by construction.
 
-    The tables are opt-in (:meth:`Topology.enable_route_tables`): the
-    default evaluation path stays memo-free, which is what the
-    batched-vs-per-point parity tests compare against. One batch layer
-    (:class:`repro.costmodel.portfolio.PortfolioTables`) enables them on
-    the wafer shared by a portfolio sweep, where the same groups and
-    src/dst pairs recur across every candidate spec of every point.
+    Every topology builds its tables in ``__init__``. They hold at most
+    about ``dies**2`` paths plus the orderings of the die groups actually
+    queried, and live exactly as long as the topology: the plan service's
+    bounded wafer memo frees them together with the wafer. The same groups
+    and src/dst pairs recur across every candidate spec of every scenario
+    evaluated on one wafer, which is where the memo pays off.
 
     Attributes:
         hits: lookups served from the tables.
@@ -171,9 +169,8 @@ class Topology:
         self._adjacency = self._build_adjacency()
         self._hop_memo: Dict[int, Dict[int, int]] = {}
         self._cost_memo: Dict[int, Dict[int, float]] = {}
-        #: Optional routing memo (see :class:`RouteTables`); ``None`` keeps
-        #: every routing call memo-free.
-        self.route_tables: Optional[RouteTables] = None
+        #: Routing memo (see :class:`RouteTables`).
+        self.route_tables = RouteTables()
 
     # Construction helpers ---------------------------------------------------
 
@@ -206,17 +203,6 @@ class Topology:
         for neighbours in adjacency.values():
             neighbours.sort()
         return adjacency
-
-    def enable_route_tables(self) -> RouteTables:
-        """Attach (or return the existing) :class:`RouteTables` memo.
-
-        Safe because the fabric's link set and health state are immutable
-        after construction; idempotent so several sharers converge on one
-        memo.
-        """
-        if self.route_tables is None:
-            self.route_tables = RouteTables()
-        return self.route_tables
 
     # Basic queries ----------------------------------------------------------
 

@@ -43,18 +43,16 @@ def order_group_for_ring(
     if len(members) <= 1:
         return members, True
     tables = topology.route_tables
-    key = tuple(members) if tables is not None else None
-    if tables is not None:
-        cached = tables.rings.get(key)
-        if cached is not None:
-            tables.hits += 1
-            return list(cached[0]), cached[1]
+    key = tuple(members)
+    cached = tables.rings.get(key)
+    if cached is not None:
+        tables.hits += 1
+        return list(cached[0]), cached[1]
     ring = topology.contiguous_ring(members)
     ordering, is_ring = ((ring, True) if ring is not None
                          else (_greedy_chain(topology, members), False))
-    if tables is not None:
-        tables.misses += 1
-        tables.rings[key] = (tuple(ordering), is_ring)
+    tables.misses += 1
+    tables.rings[key] = (tuple(ordering), is_ring)
     return ordering, is_ring
 
 
@@ -78,19 +76,17 @@ def ring_hop_factor(
     if len(ordering) <= 1:
         return 0
     tables = topology.route_tables
-    key = (tuple(ordering), closed) if tables is not None else None
-    if tables is not None:
-        cached = tables.ring_hops.get(key)
-        if cached is not None:
-            tables.hits += 1
-            return cached
+    key = (tuple(ordering), closed)
+    cached = tables.ring_hops.get(key)
+    if cached is not None:
+        tables.hits += 1
+        return cached
     pairs = list(zip(ordering, list(ordering[1:])))
     if closed:
         pairs.append((ordering[-1], ordering[0]))
     worst = max(topology.hop_cost(a, b) for a, b in pairs)
-    if tables is not None:
-        tables.misses += 1
-        tables.ring_hops[key] = worst
+    tables.misses += 1
+    tables.ring_hops[key] = worst
     return worst
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.topology import MeshTopology
+from repro.hardware.topologies import MeshTopology
 from repro.hardware.wafer import WaferScaleChip
 from repro.mapping.collectives import expand_task
 from repro.mapping.contention import LinkLoadMap

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.topology import Link, MeshTopology
+from repro.hardware.topologies import Link, MeshTopology
 from repro.mapping.contention import LinkLoadMap, flows_through
 from repro.mapping.routing import Flow
 

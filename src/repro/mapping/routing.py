@@ -89,8 +89,7 @@ def route_flow(
         path: List[Link] = []
     else:
         tables = topology.route_tables
-        cached = tables.paths.get((src, dst, prefer_yx)) \
-            if tables is not None else None
+        cached = tables.paths.get((src, dst, prefer_yx))
         if cached is not None:
             tables.hits += 1
             path = list(cached)
@@ -105,9 +104,8 @@ def route_flow(
                         f"no route between die {src} and die {dst} "
                         "(too many failed links)") from None
                 path = found
-            if tables is not None:
-                tables.misses += 1
-                tables.paths[(src, dst, prefer_yx)] = tuple(path)
+            tables.misses += 1
+            tables.paths[(src, dst, prefer_yx)] = tuple(path)
     return Flow(
         src=src,
         dst=dst,

@@ -295,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="manifest directory (default: %(default)s)")
     sweep.add_argument("--no-write", action="store_true",
                        help="run without writing the manifest")
-    sweep.add_argument("--no-batched", action="store_true",
-                       help="disable portfolio batching (shared route "
-                            "tables / reports / cost tables) for local "
-                            "jobs=1 sweeps; results are bit-identical "
-                            "either way")
     sweep.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
                        help="server-mode progress poll interval "
                             "(default: %(default)s)")
@@ -721,8 +716,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             outcomes = run_portfolio_local(
                 portfolio, jobs=args.jobs, store=_sweep_store(args),
-                points=points, on_unique=_progress,
-                batched=False if args.no_batched else None)
+                points=points, on_unique=_progress)
         except PortfolioError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

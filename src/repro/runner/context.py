@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
-from repro.simulation.config import SimulatorConfig
 
 
 class RunContext:
@@ -37,8 +35,6 @@ class RunContext:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.reduced = reduced
         self._service = None
-        self._wafer: Optional[WaferScaleChip] = None
-        self._config: Optional[SimulatorConfig] = None
 
     @property
     def service(self):
@@ -46,23 +42,9 @@ class RunContext:
 
         Built once per worker around the shared plan cache, so every
         scenario the worker's cells evaluate reuses the same memoised
-        execution plans and resolved wafers.
+        execution plans, wafers, and solver cost tables.
         """
         if self._service is None:
             from repro.api.service import PlanService
             self._service = PlanService(plan_cache=self.plan_cache)
         return self._service
-
-    @property
-    def wafer(self) -> WaferScaleChip:
-        """The default Table I wafer, built once per worker."""
-        if self._wafer is None:
-            self._wafer = WaferScaleChip()
-        return self._wafer
-
-    @property
-    def config(self) -> SimulatorConfig:
-        """Default simulator knobs, built once per worker."""
-        if self._config is None:
-            self._config = SimulatorConfig()
-        return self._config

@@ -148,13 +148,13 @@ def evaluate_group(service: PlanService,
     """Evaluate one hardware-compatible group on one service.
 
     Returns the per-document payloads plus a worker telemetry snapshot
-    (pid, plan-cache counters, the service's metrics-registry snapshot,
-    and — in pool workers, where ``drain_spans`` is set — the buffered
-    trace spans) the scheduler folds into ``stats()`` and its trace sink.
-    ``trace_context`` parents the worker's spans under the scheduler's
-    dispatch span across the thread/process boundary. The chaos hook
-    fires *outside* the per-document containment, so an injected worker
-    crash escapes like a real one would.
+    (pid, plan-cache and memo counters, the service's metrics-registry
+    snapshot, and — in pool workers, where ``drain_spans`` is set — the
+    buffered trace spans) the scheduler folds into ``stats()`` and its
+    trace sink. ``trace_context`` parents the worker's spans under the
+    scheduler's dispatch span across the thread/process boundary. The
+    chaos hook fires *outside* the per-document containment, so an
+    injected worker crash escapes like a real one would.
     """
     tracer = get_tracer()
     payloads = []
@@ -164,15 +164,18 @@ def evaluate_group(service: PlanService,
             if chaos is not None:
                 chaos.on_worker_evaluate(doc)
             payloads.append(_evaluate_doc(service, doc))
+    service_stats = service.stats()
     telemetry = {"pid": os.getpid(),
-                 "plan_cache": service.plan_cache.stats(),
+                 "plan_cache": service_stats["plan_cache"],
+                 "memos": service_stats["memos"],
                  "metrics": service.registry.snapshot(),
                  "spans": tracer.drain() if drain_spans else []}
     return payloads, telemetry
 
 
-#: Per-process service of pool workers (the PR 2 orchestrator pattern: one
-#: shared PlanCache per worker, warm across every group the worker runs).
+#: Per-process service of pool workers (the orchestrator pattern: one
+#: shared PlanCache and memo set per worker, warm across every group the
+#: worker runs).
 _WORKER_SERVICE: Optional[PlanService] = None
 
 #: Per-process chaos injector of pool workers (re-armed from the spec the
@@ -218,10 +221,10 @@ def _evaluate_group_in_worker(
 class PlanScheduler:
     """Batched, deduplicated, cached scenario serving over a worker pool.
 
+    With ``jobs=1`` one in-process :class:`PlanService` evaluates every
+    request; with ``jobs > 1`` each pool worker owns its own.
+
     Args:
-        service: the shared in-process :class:`PlanService` (``jobs=1``
-            only; defaults to a fresh one). With ``jobs > 1`` each pool
-            worker owns its own service instead.
         store: optional :class:`ResultStore` consulted before queueing and
             fed after every successful evaluation. The scheduler owns it
             (``close()`` closes it). A failed store write is survived (the
@@ -249,7 +252,6 @@ class PlanScheduler:
 
     def __init__(
         self,
-        service: Optional[PlanService] = None,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         batch_window: float = 0.005,
@@ -270,10 +272,6 @@ class PlanScheduler:
             raise ValueError(f"deadline must be > 0, got {deadline}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if service is not None and jobs != 1:
-            raise ValueError(
-                "a shared service only applies to jobs=1 (in-process) "
-                "scheduling; pool workers build their own")
         self.jobs = jobs
         self.batch_window = float(batch_window)
         self.max_batch = max_batch
@@ -283,8 +281,7 @@ class PlanScheduler:
         self.chaos = (FaultInjector.from_spec(chaos)
                       if isinstance(chaos, str) else chaos)
         self.store = store
-        self.service = (service if service is not None else PlanService()) \
-            if jobs == 1 else None
+        self.service = PlanService() if jobs == 1 else None
         self.counters = CounterBundle(
             requests=0,
             deduped=0,
@@ -318,7 +315,7 @@ class PlanScheduler:
             "scheduler.store_write_seconds",
             help="result-store append latency")
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._worker_stats: Dict[int, Dict[str, int]] = {}
+        self._worker_stats: Dict[int, Dict[str, object]] = {}
         self._worker_metrics: Dict[int, Dict[str, object]] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -666,7 +663,8 @@ class PlanScheduler:
         spans are re-emitted into this process's trace sink.
         """
         pid = telemetry["pid"]
-        self._worker_stats[pid] = telemetry["plan_cache"]
+        self._worker_stats[pid] = {"plan_cache": telemetry["plan_cache"],
+                                   "memos": telemetry["memos"]}
         if telemetry.get("metrics") is not None:
             self._worker_metrics[pid] = telemetry["metrics"]
         if tracer.enabled:
@@ -729,15 +727,23 @@ class PlanScheduler:
     def stats(self) -> Dict[str, object]:
         """Plain-JSON counter snapshot (the ``GET /metrics`` document)."""
         if self.service is not None:
-            plan_cache = self.service.plan_cache.stats()
+            service_stats = self.service.stats()
+            plan_cache = service_stats["plan_cache"]
+            memos = service_stats["memos"]
         else:
             # Pool mode: fold the latest per-worker snapshots (piggybacked
             # on every group result) into one aggregate.
             plan_cache = {"hits": 0, "misses": 0, "entries": 0,
                           "max_entries": 0}
+            memos = {name: {"hits": 0, "misses": 0, "entries": 0,
+                            "evictions": 0}
+                     for name in ("wafers", "tables")}
             for snapshot in self._worker_stats.values():
                 for counter in plan_cache:
-                    plan_cache[counter] += snapshot[counter]
+                    plan_cache[counter] += snapshot["plan_cache"][counter]
+                for name, counters in memos.items():
+                    for counter in counters:
+                        counters[counter] += snapshot["memos"][name][counter]
         return {
             "scheduler": {
                 **self.counters,
@@ -752,6 +758,7 @@ class PlanScheduler:
             "store": ({"enabled": True, **self.store.stats()}
                       if self.store is not None else {"enabled": False}),
             "plan_cache": plan_cache,
+            "memos": memos,
             "chaos": ({"enabled": True, **self.chaos.stats()}
                       if self.chaos is not None else {"enabled": False}),
             # The pre-registry scalar keys stay bit-compatible (pinned in

@@ -74,9 +74,8 @@ class DualLevelWaferSolver:
                                                               population_size=16)
         self.num_finalists = num_finalists
         self.mapping_engine = mapping_engine
-        # Optional (model, candidates) -> CostTables hook letting a portfolio
-        # runner share tables across solves; see
-        # repro.costmodel.portfolio.PortfolioTables.tables_for.
+        # Optional (model, candidates) -> CostTables hook letting the plan
+        # service share tables across solves (PlanService._tables_for).
         self.tables_provider = tables_provider
         self.simulator = WaferSimulator(self.wafer, self.config)
 
@@ -107,8 +106,8 @@ class DualLevelWaferSolver:
                 candidates = space.candidates()
 
         # One set of vectorized cost tables feeds both solver levels. A
-        # provider (portfolio batching) hands back tables built over its own
-        # representative graph, so the solve must adopt that graph too.
+        # provider (the plan service's memo) hands back tables built over its
+        # own representative graph, so the solve must adopt that graph too.
         with span("solver.tables", candidates=len(candidates)):
             if self.tables_provider is not None:
                 tables = self.tables_provider(model, candidates)

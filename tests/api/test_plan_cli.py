@@ -125,8 +125,11 @@ def test_plan_stats_flag_reports_plan_cache_counters(capsys):
     assert main(["plan", _reduced_scenario(), "--stats"]) == 0
     captured = capsys.readouterr()
     stats = json.loads(captured.err.strip().splitlines()[-1])
-    assert set(stats) == {"plan_cache", "wafers_cached"}
+    assert set(stats) == {"plan_cache", "wafers_cached", "memos"}
     assert stats["plan_cache"]["misses"] > 0
+    assert set(stats["memos"]) == {"wafers", "tables"}
+    assert stats["memos"]["wafers"] == {"hits": 0, "misses": 1,
+                                        "entries": 1, "evictions": 0}
 
 
 @pytest.mark.parametrize("fixture_kind", ["fault", "multiwafer"])

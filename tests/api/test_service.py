@@ -1,4 +1,4 @@
-"""PlanService dispatch, PlanResult schema, and deprecation-shim parity."""
+"""PlanService dispatch, memos, and the PlanResult schema."""
 
 import math
 
@@ -12,53 +12,11 @@ from repro.api.scenario import (
     WorkloadSpec,
 )
 from repro.api.service import PlanResult, PlanService, validate_result_payload
-from repro.core.framework import TEMP, evaluate_baseline
-from repro.core.multiwafer import evaluate_multiwafer
-from repro.parallelism.baselines import BaselineScheme
-from repro.workloads.models import get_model
 
 
 def _scenario(model="gpt3-6.7b", **solver_kwargs) -> Scenario:
     return Scenario(workload=WorkloadSpec(model=model),
                     solver=SolverSpec(**solver_kwargs))
-
-
-class TestDeprecatedShims:
-    """The loose-kwargs entry points warn but stay bit-identical."""
-
-    def test_evaluate_baseline_warns_and_matches_service(self, gpt3_6b):
-        with pytest.warns(DeprecationWarning, match="evaluate_baseline"):
-            old = evaluate_baseline(BaselineScheme.MESP, "gmap", gpt3_6b)
-        new = PlanService().evaluate_raw(
-            _scenario(scheme="mesp", engine="gmap"))
-        assert old.best_spec == new.best_spec
-        assert old.report.step_time == new.report.step_time
-        assert old.report.memory.total == new.report.memory.total
-        assert old.candidates_evaluated == new.candidates_evaluated
-        assert sorted(old.all_reports) == sorted(new.all_reports)
-
-    def test_temp_warns_and_matches_framework_scenario(self, gpt3_6b):
-        with pytest.warns(DeprecationWarning, match="TEMP"):
-            old = TEMP().optimize(gpt3_6b)
-        new = PlanService().evaluate_raw(
-            Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),
-                     solver=SolverSpec.for_framework()))
-        assert old.best_spec == new.best_spec
-        assert old.report.step_time == new.report.step_time
-        assert old.report.throughput == new.report.throughput
-
-    def test_evaluate_multiwafer_warns_and_matches_service(self):
-        model = get_model("gpt3-175b")
-        with pytest.warns(DeprecationWarning, match="evaluate_multiwafer"):
-            old = evaluate_multiwafer(BaselineScheme.TEMP, "tcme", model, 2,
-                                      num_microbatches=8)
-        new = PlanService().evaluate_raw(Scenario(
-            workload=WorkloadSpec(model="gpt3-175b"),
-            hardware=HardwareSpec(num_wafers=2, num_microbatches=8),
-            solver=SolverSpec.for_framework()))
-        assert old.best_spec == new.best_spec
-        assert old.step_time == new.step_time
-        assert old.bubble_time == new.bubble_time
 
 
 class TestDispatch:

@@ -1,15 +1,22 @@
 """Tests for the TEMP framework, metrics, multi-wafer, and fault tolerance.
 
-The loose-kwargs entry points exercised here (``evaluate_baseline``,
-``TEMP``, ``evaluate_multiwafer``) are deprecated in favour of the Scenario
-API; they are kept under test because the deprecation contract promises
-bit-identical results (see ``tests/api/test_service.py``).
+The baseline grid, the TEMP framework (with its +TATP / +TCME ablation
+switches), and the multi-wafer search all run as Scenarios through
+:class:`~repro.api.service.PlanService`.
 """
 
 import pytest
 
+from repro.api.scenario import (
+    HardwareSpec,
+    Scenario,
+    ScenarioError,
+    SolverSpec,
+    WorkloadSpec,
+)
+from repro.api.service import PlanService
 from repro.core.fault_tolerance import evaluate_with_faults
-from repro.core.framework import TEMP, downsample_specs, evaluate_baseline
+from repro.core.framework import downsample_specs
 from repro.core.metrics import (
     average_speedup,
     best_non_oom,
@@ -18,13 +25,37 @@ from repro.core.metrics import (
     normalize_to,
     speedup,
 )
-from repro.core.multiwafer import evaluate_multiwafer, pipeline_degrees_for
+from repro.core.multiwafer import pipeline_degrees_for
 from repro.hardware.faults import FaultModel
 from repro.parallelism.baselines import BaselineScheme
 from repro.parallelism.spec import ParallelSpec
-from repro.workloads.models import get_model
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+@pytest.fixture(scope="module")
+def service():
+    return PlanService()
+
+
+def _baseline(service, scheme, engine, model="gpt3-6.7b"):
+    """The default 4x8 wafer's baseline search for one (scheme, engine)."""
+    return service.evaluate_raw(Scenario(
+        workload=WorkloadSpec(model=model),
+        solver=SolverSpec(scheme=scheme.value, engine=engine)))
+
+
+def _framework(service, model="llama3-70b", **switches):
+    """The TEMP framework's search under its ablation switches."""
+    return service.evaluate_raw(Scenario(
+        workload=WorkloadSpec(model=model),
+        solver=SolverSpec.for_framework(**switches)))
+
+
+def _multiwafer(service, solver, num_wafers=2, num_microbatches=8):
+    return service.evaluate_raw(Scenario(
+        workload=WorkloadSpec(model="gpt3-175b"),
+        hardware=HardwareSpec(num_wafers=num_wafers,
+                              num_microbatches=num_microbatches),
+        solver=solver))
 
 
 class TestMetrics:
@@ -71,32 +102,33 @@ class TestEvaluateBaseline:
     @pytest.mark.parametrize("scheme", [BaselineScheme.MEGATRON1,
                                         BaselineScheme.MESP,
                                         BaselineScheme.FSDP])
-    def test_every_scheme_produces_a_result(self, scheme, gpt3_6b, wafer):
-        result = evaluate_baseline(scheme, "smap", gpt3_6b, wafer=wafer)
+    def test_every_scheme_produces_a_result(self, scheme, service):
+        result = _baseline(service, scheme, "smap")
         assert result.report is not None
         assert result.best_spec is not None
         assert result.candidates_evaluated > 0
         assert result.label.endswith("+smap")
 
-    def test_best_spec_respects_scheme_space(self, gpt3_6b, wafer):
-        mega = evaluate_baseline(BaselineScheme.MEGATRON1, "smap", gpt3_6b, wafer=wafer)
+    def test_best_spec_respects_scheme_space(self, service):
+        mega = _baseline(service, BaselineScheme.MEGATRON1, "smap")
         assert mega.best_spec.tatp == 1 and mega.best_spec.fsdp == 1
-        fsdp = evaluate_baseline(BaselineScheme.FSDP, "smap", gpt3_6b, wafer=wafer)
+        fsdp = _baseline(service, BaselineScheme.FSDP, "smap")
         assert fsdp.best_spec.tp == 1
 
-    def test_megatron_oom_on_70b(self, llama70b, wafer):
-        result = evaluate_baseline(BaselineScheme.MEGATRON1, "smap", llama70b,
-                                   wafer=wafer)
+    def test_megatron_oom_on_70b(self, service):
+        result = _baseline(service, BaselineScheme.MEGATRON1, "smap",
+                           model="llama3-70b")
         assert result.oom
 
-    def test_fsdp_never_ooms_on_table_ii(self, wafer):
+    def test_fsdp_never_ooms_on_table_ii(self, service):
         for name in ("gpt3-6.7b", "llama3-70b", "gpt3-175b", "opt-175b"):
-            result = evaluate_baseline(BaselineScheme.FSDP, "smap",
-                                       get_model(name), wafer=wafer)
+            result = _baseline(service, BaselineScheme.FSDP, "smap",
+                               model=name)
             assert not result.oom, name
 
-    def test_non_oom_result_fits_capacity(self, llama70b, wafer):
-        result = evaluate_baseline(BaselineScheme.MESP, "gmap", llama70b, wafer=wafer)
+    def test_non_oom_result_fits_capacity(self, service, wafer):
+        result = _baseline(service, BaselineScheme.MESP, "gmap",
+                           model="llama3-70b")
         assert not result.oom
         assert result.report.memory.total <= wafer.config.die.hbm.capacity
 
@@ -121,42 +153,46 @@ class TestDownsample:
 
 
 class TestTEMPFramework:
-    def test_temp_beats_every_baseline_on_large_model(self, llama70b, wafer):
-        temp = TEMP(wafer=wafer).optimize(llama70b)
+    def test_temp_beats_every_baseline_on_large_model(self, service):
+        temp = _framework(service)
         for scheme in (BaselineScheme.MEGATRON1, BaselineScheme.MESP,
                        BaselineScheme.FSDP):
             for engine in ("smap", "gmap"):
-                baseline = evaluate_baseline(scheme, engine, llama70b, wafer=wafer)
+                baseline = _baseline(service, scheme, engine,
+                                     model="llama3-70b")
                 if baseline.oom:
                     continue
                 assert temp.report.step_time <= baseline.report.step_time * 1.001
 
-    def test_temp_uses_tatp_on_large_models(self, llama70b, wafer):
-        result = TEMP(wafer=wafer).optimize(llama70b)
+    def test_temp_uses_tatp_on_large_models(self, service):
+        result = _framework(service)
         assert result.best_spec.tatp > 1
         assert not result.oom
 
-    def test_temp_memory_not_above_best_baseline(self, llama70b, wafer):
-        temp = TEMP(wafer=wafer).optimize(llama70b)
-        mesp = evaluate_baseline(BaselineScheme.MESP, "gmap", llama70b, wafer=wafer)
+    def test_temp_memory_not_above_best_baseline(self, service):
+        temp = _framework(service)
+        mesp = _baseline(service, BaselineScheme.MESP, "gmap",
+                         model="llama3-70b")
         assert temp.report.memory.total <= mesp.report.memory.total * 1.05
 
-    def test_ablation_switches_change_engine_and_space(self, wafer):
-        base = TEMP(wafer=wafer, enable_tatp=False, enable_tcme=False)
-        assert base.mapping_engine == "smap"
+    def test_ablation_switches_change_engine_and_space(self):
+        base = SolverSpec.for_framework(enable_tatp=False, enable_tcme=False)
+        assert base.engine == "smap"
         assert base.max_tatp == 1
-        full = TEMP(wafer=wafer)
-        assert full.mapping_engine == "tcme"
+        full = SolverSpec.for_framework()
+        assert full.engine == "tcme"
 
-    def test_ablation_is_monotone(self, llama70b, wafer):
-        base = TEMP(wafer=wafer, enable_tatp=False, enable_tcme=False).optimize(llama70b)
-        with_tatp = TEMP(wafer=wafer, enable_tatp=True, enable_tcme=False).optimize(llama70b)
-        full = TEMP(wafer=wafer).optimize(llama70b)
+    def test_ablation_is_monotone(self, service):
+        base = _framework(service, enable_tatp=False, enable_tcme=False)
+        with_tatp = _framework(service, enable_tatp=True, enable_tcme=False)
+        full = _framework(service)
         assert with_tatp.report.throughput >= base.report.throughput * 0.999
         assert full.report.throughput >= with_tatp.report.throughput * 0.999
 
-    def test_solver_path_agrees_with_enumeration(self, gpt3_6b, wafer):
-        solver_result = TEMP(wafer=wafer).solve(gpt3_6b)
+    def test_solver_path_agrees_with_enumeration(self, service):
+        solver_result = service.solve_raw(Scenario(
+            workload=WorkloadSpec(model="gpt3-6.7b"),
+            solver=SolverSpec.for_framework()))
         assert not solver_result.best_report.oom
         assert solver_result.best_spec.total_degree == 32
 
@@ -168,26 +204,21 @@ class TestMultiWafer:
         with pytest.raises(ValueError):
             pipeline_degrees_for(BaselineScheme.TEMP, 0)
 
-    def test_temp_beats_mesp_on_two_wafers(self):
-        model = get_model("gpt3-175b")
-        temp = evaluate_multiwafer(BaselineScheme.TEMP, "tcme", model, 2,
-                                   num_microbatches=8)
-        mesp = evaluate_multiwafer(BaselineScheme.MESP, "gmap", model, 2,
-                                   num_microbatches=8)
+    def test_temp_beats_mesp_on_two_wafers(self, service):
+        temp = _multiwafer(service, SolverSpec(scheme="temp", engine="tcme"))
+        mesp = _multiwafer(service, SolverSpec(scheme="mesp", engine="gmap"))
         assert not temp.oom
         assert temp.step_time <= mesp.step_time * 1.001
         assert temp.throughput >= mesp.throughput * 0.999
 
-    def test_breakdown_keys(self):
-        model = get_model("gpt3-175b")
-        result = evaluate_multiwafer(BaselineScheme.TEMP, "tcme", model, 2,
-                                     num_microbatches=8)
+    def test_breakdown_keys(self, service):
+        result = _multiwafer(service, SolverSpec(scheme="temp",
+                                                 engine="tcme"))
         assert set(result.breakdown()) == {"compute", "communication", "bubble"}
 
     def test_invalid_wafer_count(self):
-        with pytest.raises(ValueError):
-            evaluate_multiwafer(BaselineScheme.TEMP, "tcme",
-                                get_model("gpt3-175b"), 0)
+        with pytest.raises(ScenarioError):
+            HardwareSpec(num_wafers=0)
 
 
 class TestFaultTolerance:

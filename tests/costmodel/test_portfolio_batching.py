@@ -1,9 +1,9 @@
-"""Portfolio batching: subset gathers, shared tables, sweep bit-parity.
+"""Work shared across scenarios: subset gathers, service memos, bit-parity.
 
-The batching layers of :mod:`repro.costmodel.portfolio` are pure
-memoisation, so every test here is an exact-equality test — no tolerances:
-a batched sweep must be indistinguishable from the per-point path it
-replaces.
+The memos of :class:`~repro.api.service.PlanService` (wafers with their
+route tables, solver cost tables) are pure memoisation, so every test here is an exact-equality test — no tolerances:
+one shared service must be indistinguishable from a fresh service per
+scenario, with and without evictions.
 """
 
 import json
@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.costmodel.portfolio import BatchedPlanService, PortfolioTables
+import repro.api.service as service_module
+from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
+from repro.api.service import PlanService, _Memo
 from repro.costmodel.tables import CostTables
 from repro.hardware.config import default_wafer_config
 from repro.parallelism.spec import ParallelSpec
@@ -69,72 +71,170 @@ class TestSubset:
             parent_tables.subset([ParallelSpec(tatp=32)])
 
 
-class TestPortfolioTables:
-    def test_exact_candidate_match_returns_shared_tables(self, fig13):
-        portfolio, points = fig13
-        scenario = points[0].scenario
-        model = scenario.workload.resolve()
-        specs = [ParallelSpec(dp=32), ParallelSpec(fsdp=32)]
-        tables = PortfolioTables()
-        first = tables.tables_for(scenario, model, specs)
-        second = tables.tables_for(scenario, model, specs)
-        assert second is first
-        assert tables.tables_misses == 1 and tables.tables_hits == 1
+def _payloads(service, scenarios):
+    return [service.evaluate(scenario).to_dict() for scenario in scenarios]
 
-    def test_narrowed_candidates_reuse_parent_cells(self, fig13):
-        _, points = fig13
-        scenario = points[0].scenario
-        model = scenario.workload.resolve()
-        specs = [ParallelSpec(dp=32), ParallelSpec(fsdp=32),
-                 ParallelSpec(tp=8, sp=4)]
-        tables = PortfolioTables()
-        parent = tables.tables_for(scenario, model, specs)
-        parent.intra_matrix()
-        child = tables.tables_for(scenario, model, specs[:2])
-        assert tables.tables_hits == 1
-        np.testing.assert_array_equal(child.intra_matrix(),
-                                      parent.intra_matrix()[:, :2])
+
+def _solve_scenario(max_tatp=32, **hardware):
+    return Scenario(
+        workload=WorkloadSpec(model="gpt3-6.7b"),
+        hardware=HardwareSpec(**hardware),
+        solver=SolverSpec(max_tatp=max_tatp, ga_generations=2))
+
+
+def _solve(service, scenario):
+    """A solve's payload minus its wall-clock ``search_seconds``."""
+    payload = service.solve(scenario).to_dict()
+    payload.pop("search_seconds")
+    return payload
+
+
+class TestSharedTables:
+    def test_repeat_solve_reuses_tables_bit_identically(self):
+        service = PlanService()
+        first = _solve(service, _solve_scenario())
+        second = _solve(service, _solve_scenario())
+        assert second == first
+        assert service.stats()["memos"]["tables"] == {
+            "hits": 1, "misses": 1, "entries": 1, "evictions": 0}
+
+    def test_narrowed_candidates_reuse_parent_cells(self):
+        service = PlanService()
+        wide = service.solve_raw(_solve_scenario())
+        narrow = service.solve_raw(_solve_scenario(max_tatp=4))
+        assert narrow.candidates_considered < wide.candidates_considered
+        tables = service.stats()["memos"]["tables"]
+        assert tables["hits"] == 1 and tables["entries"] == 1
+        fresh = _solve(PlanService(), _solve_scenario(max_tatp=4))
+        assert _solve(service, _solve_scenario(max_tatp=4)) == fresh
 
     def test_stats_shape(self):
-        stats = PortfolioTables().stats()
-        assert set(stats) == {"report_cache", "route_tables",
-                              "solver_tables", "hardware_groups"}
-        assert stats["solver_tables"] == {"hits": 0, "misses": 0,
-                                          "entries": 0}
+        memos = PlanService().stats()["memos"]
+        assert set(memos) == {"wafers", "tables"}
+        for counters in memos.values():
+            assert counters == {"hits": 0, "misses": 0, "entries": 0,
+                                "evictions": 0}
+
+    def test_wafer_memo_keyed_by_geometry_and_fabric(self):
+        service = PlanService()
+        mesh = service.wafer_for(HardwareSpec())
+        assert service.wafer_for(HardwareSpec(base_mfu=0.3)) is mesh
+        torus = service.wafer_for(HardwareSpec(topology={"name": "torus"}))
+        assert torus is not mesh
+        assert service.stats()["memos"]["wafers"] == {
+            "hits": 1, "misses": 2, "entries": 2, "evictions": 0}
+
+    def test_simulator_configs_share_wafer_not_results(self):
+        """One wafer, two simulator configs: each keeps its own result."""
+        scenarios = [
+            Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),
+                     hardware=HardwareSpec(base_mfu=base_mfu),
+                     solver=SolverSpec(scheme="mesp", engine="gmap",
+                                       max_candidates=3))
+            for base_mfu in (None, 0.3)]
+        fresh = [PlanService().evaluate(scenario).to_dict()
+                 for scenario in scenarios]
+        assert fresh[0] != fresh[1]
+        service = PlanService()
+        assert _payloads(service, scenarios) == fresh
+        assert service.stats()["memos"]["wafers"] == {
+            "hits": 1, "misses": 1, "entries": 1, "evictions": 0}
 
 
 class TestBatchedSweepParity:
+    """Sweeps share one service's memos; rows must not show it."""
+
     def test_fig13_reduced_rows_bit_identical(self, fig13):
-        """The tentpole contract: batched == per-point, byte for byte."""
-        from repro.server.portfolio import run_portfolio_local
-
-        portfolio, points = fig13
-        baseline = run_portfolio_local(portfolio, jobs=1, points=points,
-                                       batched=False)
-        batched = run_portfolio_local(portfolio, jobs=1, points=points,
-                                      batched=True)
-        assert len(batched) == len(baseline) == len(points)
-        base_payloads = [outcome.payload for outcome in baseline]
-        batch_payloads = [outcome.payload for outcome in batched]
-        assert batch_payloads == base_payloads
-        assert (json.dumps(batch_payloads, sort_keys=True)
-                == json.dumps(base_payloads, sort_keys=True))
-
-    def test_batched_with_workers_rejected(self, fig13):
-        from repro.server.portfolio import run_portfolio_local
-
-        portfolio, points = fig13
-        with pytest.raises(ValueError, match="in-process"):
-            run_portfolio_local(portfolio, jobs=2, points=points,
-                                batched=True)
+        """One shared service == a fresh service per point, byte for byte."""
+        _, points = fig13
+        scenarios = [point.scenario for point in points]
+        shared = _payloads(PlanService(), scenarios)
+        fresh = [PlanService().evaluate(scenario).to_dict()
+                 for scenario in scenarios]
+        assert shared == fresh
+        assert (json.dumps(shared, sort_keys=True)
+                == json.dumps(fresh, sort_keys=True))
 
     def test_batched_service_records_sharing(self, fig13):
-        """Evaluating two overlapping points must hit every batching layer."""
+        """Evaluating a point twice routes nothing anew the second time."""
         _, points = fig13
-        service = BatchedPlanService()
+        service = PlanService()
         service.evaluate(points[0].scenario)
+        wafer = service.wafer_for(points[0].scenario.hardware)
+        first = wafer.topology.route_tables.stats()
         service.evaluate(points[0].scenario)
-        stats = service.stats()["portfolio"]
-        assert stats["route_tables"]["hits"] > 0
-        assert stats["report_cache"]["hits"] > 0
-        assert stats["hardware_groups"] == 1
+        second = wafer.topology.route_tables.stats()
+        assert second["misses"] == first["misses"]
+        assert second["hits"] > first["hits"]
+        assert service.stats()["memos"]["wafers"] == {
+            "hits": 2, "misses": 1, "entries": 1, "evictions": 0}
+
+    def test_worker_pool_rows_match_in_process_rows(self, fig13):
+        """Shared memos and a worker pool compose with no flag."""
+        from repro.server.portfolio import run_portfolio_local
+
+        portfolio, points = fig13
+        serial = run_portfolio_local(portfolio, jobs=1, points=points)
+        pooled = run_portfolio_local(portfolio, jobs=2, points=points)
+        assert len(pooled) == len(serial) == len(points)
+        assert ([outcome.payload for outcome in pooled]
+                == [outcome.payload for outcome in serial])
+
+    def test_evictions_keep_payloads_bit_identical(self, monkeypatch):
+        """Memos of one entry, thrashed by two hardware specs."""
+        for name in ("WAFER_MEMO_SIZE", "TABLES_MEMO_SIZE"):
+            monkeypatch.setattr(service_module, name, 1)
+        specs = [HardwareSpec(), HardwareSpec(rows=2, cols=4)]
+        scenarios = [
+            Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),
+                     hardware=hardware,
+                     solver=SolverSpec(scheme="mesp", engine="gmap",
+                                       max_candidates=3))
+            for hardware in specs]
+        solves = [_solve_scenario(**{"rows": hardware.rows,
+                                     "cols": hardware.cols})
+                  for hardware in specs]
+        expected = [PlanService().evaluate(scenario).to_dict()
+                    for scenario in scenarios]
+        expected_solves = [_solve(PlanService(), scenario)
+                           for scenario in solves]
+        service = PlanService()
+        evictions = []
+        for _ in range(2):
+            assert _payloads(service, scenarios) == expected
+            assert [_solve(service, scenario)
+                    for scenario in solves] == expected_solves
+            evictions.append({name: counters["evictions"] for name, counters
+                              in service.stats()["memos"].items()})
+        for name in ("wafers", "tables"):
+            assert 0 < evictions[0][name] < evictions[1][name], evictions
+        assert all(counters["entries"] == 1
+                   for counters in service.stats()["memos"].values())
+
+
+class TestMemo:
+    def test_lookup_refreshes_recency(self):
+        memo = _Memo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1
+        memo.put("c", 3)
+        assert memo.get("b") is None
+        assert memo.get("a") == 1 and memo.get("c") == 3
+        assert memo.stats() == {"hits": 0, "misses": 0, "entries": 2,
+                                "evictions": 1}
+
+    def test_get_or_build_builds_once_per_residency(self):
+        memo = _Memo(1)
+        built = []
+
+        def build():
+            built.append(len(built))
+            return len(built)
+
+        assert memo.get_or_build("k", build) == 1
+        assert memo.get_or_build("k", build) == 1
+        assert memo.get_or_build("j", build) == 2
+        assert memo.get_or_build("k", build) == 3
+        assert memo.stats() == {"hits": 1, "misses": 3, "entries": 1,
+                                "evictions": 2}

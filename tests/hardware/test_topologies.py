@@ -1,4 +1,4 @@
-"""Tests of the topology zoo: registry, fabric families, and the shim.
+"""Tests of the topology zoo: registry, fabric families, and exports.
 
 The default-mesh contract (bit-identity of every mesh result) is pinned by
 the goldens and the differential suite; here the zoo itself is under test —
@@ -77,12 +77,6 @@ class TestRegistry:
 
 
 class TestShim:
-    def test_legacy_module_reexports_the_same_classes(self):
-        from repro.hardware import topology as legacy
-
-        assert legacy.MeshTopology is MeshTopology
-        assert legacy.die_id(1, 3, 8) == 11
-
     def test_package_exports_from_hardware_namespace(self):
         from repro.hardware import MeshTopology as exported
 
@@ -214,7 +208,7 @@ class TestRouteTablesGeneralisation:
 
         params, _ = LINK_COUNTS_4X8[name]
         topology = build_topology({"name": name, **params}, 4, 8)
-        tables = topology.enable_route_tables()
+        tables = topology.route_tables
         group = topology.partition_into_groups(4)[0]
         first = order_group_for_ring(topology, group)
         again = order_group_for_ring(topology, group)
@@ -222,6 +216,24 @@ class TestRouteTablesGeneralisation:
         stats = tables.stats()
         assert stats["hits"] >= 1
         assert stats["misses"] >= 1
+
+    @pytest.mark.parametrize("name", sorted(LINK_COUNTS_4X8))
+    def test_every_family_evaluates_through_its_tables(self, name):
+        """No opt-in: a served evaluation on any fabric fills its tables."""
+        from repro.api.scenario import SolverSpec, WorkloadSpec
+        from repro.api.service import PlanService
+
+        params, _ = LINK_COUNTS_4X8[name]
+        hardware = HardwareSpec(topology={"name": name, **params})
+        scenario = Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),
+                            hardware=hardware,
+                            solver=SolverSpec(scheme="mesp", engine="gmap",
+                                              max_candidates=3))
+        service = PlanService()
+        service.evaluate(scenario)
+        stats = service.wafer_for(hardware).topology.route_tables.stats()
+        assert stats["entries"] > 0
+        assert stats["hits"] > 0
 
 
 class TestWaferIntegration:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.topology import MeshTopology
+from repro.hardware.topologies import MeshTopology
 from repro.mapping.engines import (
     GMapEngine,
     MappingResult,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.topology import MeshTopology
+from repro.hardware.topologies import MeshTopology
 from repro.mapping.collectives import (
     expand_task,
     order_group_for_ring,

@@ -111,6 +111,11 @@ class TestEndpoints:
                              if line.startswith("repro_scheduler_requests "))
         assert (int(requests_line.split()[1])
                 <= json_metrics["scheduler"]["requests"])
+        # The service memo counters are exported as gauges too.
+        for memo in ("wafers", "tables"):
+            for counter in ("hits", "misses", "entries", "evictions"):
+                assert any(line.startswith(f"repro_memos_{memo}_{counter} ")
+                           for line in lines)
         # Native histogram exposition with queue/evaluate latency series.
         for name in ("repro_scheduler_request_latency_seconds",
                      "repro_scheduler_queue_wait_seconds",

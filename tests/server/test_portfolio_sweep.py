@@ -294,7 +294,7 @@ class TestSweepCli:
 
 class TestFabricZooSweep:
     """Acceptance: the topology zoo swept as a portfolio axis, with a
-    validated manifest, in local (batched and per-point) and server modes."""
+    validated manifest, in local (in-process and pooled) and server modes."""
 
     def _reference_rows(self):
         reference = orchestrator.run_experiment("fabric_zoo", reduced=True)
@@ -318,10 +318,10 @@ class TestFabricZooSweep:
                     and row["throughput"] != mesh["throughput"]]
         assert len(distinct) >= 3, by_fabric
 
-    def test_local_batched_and_unbatched_sweeps_match_repro_run(
+    def test_local_sweeps_match_repro_run_at_every_jobs_count(
             self, tmp_path):
         reference = self._reference_rows()
-        for index, flags in enumerate(([], ["--no-batched"])):
+        for index, flags in enumerate(([], ["--jobs", "2"])):
             out = tmp_path / f"sweep-{index}"
             assert main(["sweep", "fabric_zoo", "--reduced", *flags,
                          "--output-dir", str(out)]) == 0

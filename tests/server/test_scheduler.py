@@ -306,10 +306,7 @@ class TestProcessPool:
         assert payload == direct
         # Worker telemetry made it back across the process boundary.
         assert stats["plan_cache"]["misses"] > 0
-
-    def test_shared_service_with_pool_is_rejected(self):
-        with pytest.raises(ValueError, match="jobs=1"):
-            PlanScheduler(service=PlanService(), jobs=2)
+        assert stats["memos"]["wafers"]["misses"] == 1
 
 
 class TestStats:
@@ -321,8 +318,8 @@ class TestStats:
                 return scheduler.stats()
 
         stats = _run(scenario())
-        assert set(stats) == {"scheduler", "store", "plan_cache", "chaos",
-                              "latency", "timings"}
+        assert set(stats) == {"scheduler", "store", "plan_cache", "memos",
+                              "chaos", "latency", "timings"}
         assert stats["scheduler"]["requests"] == 1
         assert stats["scheduler"]["jobs"] == 1
         for counter in ("retries", "shed", "deadline_expired",
@@ -331,6 +328,7 @@ class TestStats:
         assert stats["store"]["enabled"] is True
         assert stats["chaos"] == {"enabled": False}
         assert stats["plan_cache"]["misses"] > 0
+        assert stats["memos"]["wafers"]["misses"] == 1
         assert stats["latency"]["count"] == 1
         assert stats["latency"]["mean_seconds"] > 0
         # Histogram-backed percentiles ride along with the legacy keys.
