@@ -4,7 +4,7 @@ The within-run parity contracts (serial vs parallel, served vs direct,
 sweep vs orchestrator) cannot catch a change that shifts *every* path at
 once — a cost-model edit, a solver reordering, a serialisation change.
 These tests pin the actual numbers: the checked-in goldens under
-``tests/golden/goldens/`` hold the full reduced-grid rows of two figures,
+``tests/golden/goldens/`` hold the full reduced-grid rows of a few figures,
 and ``repro run <figure> --reduced`` must reproduce them row-identically.
 
 After an *intentional* result change, refresh and review the goldens::
@@ -26,9 +26,11 @@ from repro.runner.registry import get_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-#: Figures whose reduced grids are pinned (one cartesian single-wafer grid,
-#: one zipped multi-wafer grid — cheap enough for tier-1).
-GOLDEN_FIGURES = ["fig13", "fig19"]
+#: Figures whose reduced grids are pinned — cheap enough for tier-1. fig13 is
+#: a cartesian single-wafer grid and fig19 a zipped multi-wafer grid;
+#: fabric_zoo reaches the non-mesh fabrics, fig20 faulty wafers (the BFS
+#: route fallback) and fig07 the scattered, no-reorder SMap path.
+GOLDEN_FIGURES = ["fig13", "fig19", "fabric_zoo", "fig20", "fig07"]
 
 pytestmark = pytest.mark.slow  # each test runs a full reduced grid
 
