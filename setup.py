@@ -13,7 +13,7 @@ setup(
                 "tensor partition-mapping for wafer-scale chips (HPCA 2026)",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

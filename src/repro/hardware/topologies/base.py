@@ -68,7 +68,7 @@ class RouteTables:
 
     def __init__(self) -> None:
         self.rings: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], bool]] = {}
-        self.paths: Dict[Tuple[int, int, bool], Tuple["Link", ...]] = {}
+        self.paths: Dict[Tuple[int, int], Tuple["Link", ...]] = {}
         self.ring_hops: Dict[Tuple[Tuple[int, ...], bool], int] = {}
         self.hits = 0
         self.misses = 0

@@ -24,7 +24,6 @@ from repro.mapping.engines import (
     ScatteredEngine,
     SMapEngine,
     TCMEEngine,
-    TaskRouting,
     get_engine,
 )
 from repro.mapping.optimizer import TrafficOptimizer, OptimizationReport
@@ -38,7 +37,6 @@ __all__ = [
     "ScatteredEngine",
     "SMapEngine",
     "TCMEEngine",
-    "TaskRouting",
     "get_engine",
     "TrafficOptimizer",
     "OptimizationReport",

@@ -1,23 +1,24 @@
 """Expansion of communication tasks into link-level flows.
 
 Every :class:`~repro.parallelism.comm.CommTask` is expanded over each of its
-concrete die groups:
+concrete die groups into ordered ``(src, dst)`` pairs, each routed into one
+flow:
 
 * **ring collectives** (all-reduce, all-gather, reduce-scatter, broadcast) —
-  flows between consecutive members of the group's ring ordering. When the
-  group admits a contiguous physical ring (see
+  consecutive members of the group's ring ordering, closed by the
+  wrap-around. When the group admits a contiguous physical ring (see
   :meth:`Topology.contiguous_ring`), every flow is one hop; otherwise the
   flows follow multi-hop routes and the hop factor records the tail-latency
   penalty.
-
-Hop factors are measured with :meth:`Topology.hop_cost` — the fabric's
-weighted hop model — so a chain step crossing, say, a vertical TSV or a
-chiplet backbone wire is charged its latency factor. On the default mesh
-``hop_cost`` equals the Manhattan hop distance, keeping the seed behaviour
-bit-identical.
-* **P2P** — a single flow between the two members.
-* **TATP streams** — bidirectional neighbour flows along the group's chain
+* **TATP streams** — bidirectional neighbour pairs along the group's chain
   ordering (Algorithm 1 only ever sends one hop along the chain).
+* **P2P** — one pair per consecutive members, in the given order.
+
+Ring and stream hop factors are measured with :meth:`Topology.hop_cost` —
+the fabric's weighted hop model — so a chain step crossing, say, a vertical
+TSV or a chiplet backbone wire is charged its latency factor. On the default
+mesh ``hop_cost`` equals the Manhattan hop distance, keeping the seed
+behaviour bit-identical. P2P hop factors are the routed path length.
 """
 
 from __future__ import annotations
@@ -94,21 +95,20 @@ def expand_task(
     task: CommTask,
     groups: Sequence[Sequence[int]],
     topology: Topology,
-    prefer_yx: bool = False,
     reorder_groups: bool = True,
 ) -> Tuple[List[Flow], int]:
-    """Expand ``task`` over its die groups into routed flows.
+    """Expand ``task`` over its die groups into routed flows (see the module
+    docstring for the pairs and the hop rule of each task kind).
 
     Args:
         task: the communication task.
         groups: the concrete die groups realising the task (one entry per
             parallel group of the task's dimension).
         topology: the wafer fabric used for routing.
-        prefer_yx: route with YX instead of XY dimension order (used by the
-            optimizer to spread traffic).
-        reorder_groups: whether to reorder each group into a physical ring /
-            nearest-neighbour chain before expanding (topology-aware mappers
-            do; the naive SMap keeps the logical order it was given).
+        reorder_groups: whether to reorder each ring / stream group into a
+            physical ring / nearest-neighbour chain before expanding
+            (topology-aware mappers do; the naive SMap keeps the logical
+            order it was given). P2P chains always keep their order.
 
     Returns:
         ``(flows, hop_factor)`` where ``hop_factor`` is the worst physical hop
@@ -117,102 +117,36 @@ def expand_task(
     """
     if task.is_trivial:
         return [], 0
+    p2p = task.kind is CollectiveType.P2P
+    stream = task.kind is CollectiveType.STREAM
+    critical = not task.overlappable
     flows: List[Flow] = []
     worst_hop = 0
     for group in groups:
-        members = [die for die in group]
-        if len(members) <= 1:
+        if len(group) <= 1:
             continue
-        if task.kind is CollectiveType.P2P:
-            group_flows, hops = _expand_p2p(task, members, topology, prefer_yx)
-        elif task.kind is CollectiveType.STREAM:
-            group_flows, hops = _expand_stream(
-                task, members, topology, prefer_yx, reorder_groups)
+        if reorder_groups and not p2p:
+            ordering, _ = order_group_for_ring(topology, group)
         else:
-            group_flows, hops = _expand_ring_collective(
-                task, members, topology, prefer_yx, reorder_groups)
+            ordering = list(group)
+        pairs = list(zip(ordering, ordering[1:]))
+        if stream:
+            pairs = [pair for src, dst in pairs
+                     for pair in ((src, dst), (dst, src))]
+        elif not p2p:
+            pairs.append((ordering[-1], ordering[0]))
+        group_flows = [
+            route_flow(topology, src, dst,
+                       num_bytes=task.bytes_per_device,
+                       count=task.count,
+                       task_label=task.label,
+                       critical=critical)
+            for src, dst in pairs
+        ]
+        if p2p:
+            hops = max(flow.hops for flow in group_flows)
+        else:
+            hops = ring_hop_factor(topology, ordering, closed=not stream)
         flows.extend(group_flows)
-        worst_hop = max(worst_hop, hops)
+        worst_hop = max(worst_hop, hops, 1)
     return flows, worst_hop
-
-
-def _expand_ring_collective(
-    task: CommTask,
-    members: Sequence[int],
-    topology: Topology,
-    prefer_yx: bool,
-    reorder_groups: bool = True,
-) -> Tuple[List[Flow], int]:
-    if reorder_groups:
-        ordering, is_ring = order_group_for_ring(topology, members)
-    else:
-        ordering, is_ring = list(members), False
-    hop_factor = ring_hop_factor(topology, ordering, closed=True)
-    flows: List[Flow] = []
-    pairs = list(zip(ordering, list(ordering[1:]) + [ordering[0]]))
-    for src, dst in pairs:
-        flows.append(route_flow(
-            topology, src, dst,
-            num_bytes=task.bytes_per_device,
-            count=task.count,
-            task_label=task.label,
-            dimension=task.dimension,
-            critical=not task.overlappable,
-            prefer_yx=prefer_yx,
-        ))
-    return flows, max(hop_factor, 1)
-
-
-def _expand_p2p(
-    task: CommTask,
-    members: Sequence[int],
-    topology: Topology,
-    prefer_yx: bool,
-) -> Tuple[List[Flow], int]:
-    flows: List[Flow] = []
-    worst = 1
-    for src, dst in zip(members, members[1:]):
-        flow = route_flow(
-            topology, src, dst,
-            num_bytes=task.bytes_per_device,
-            count=task.count,
-            task_label=task.label,
-            dimension=task.dimension,
-            critical=not task.overlappable,
-            prefer_yx=prefer_yx,
-        )
-        flows.append(flow)
-        worst = max(worst, max(flow.hops, 1))
-    return flows, worst
-
-
-def _expand_stream(
-    task: CommTask,
-    members: Sequence[int],
-    topology: Topology,
-    prefer_yx: bool,
-    reorder_groups: bool = True,
-) -> Tuple[List[Flow], int]:
-    """TATP streaming: bidirectional flows between chain neighbours."""
-    if reorder_groups:
-        ordering, _ = order_group_for_ring(topology, members)
-    else:
-        ordering = list(members)
-    # The bidirectional orchestration only needs a chain, not a closed ring.
-    chain_pairs = list(zip(ordering, ordering[1:]))
-    hop_factor = 1
-    if chain_pairs:
-        hop_factor = ring_hop_factor(topology, ordering, closed=False)
-    flows: List[Flow] = []
-    for src, dst in chain_pairs:
-        for a, b in ((src, dst), (dst, src)):
-            flows.append(route_flow(
-                topology, a, b,
-                num_bytes=task.bytes_per_device,
-                count=task.count,
-                task_label=task.label,
-                dimension=task.dimension,
-                critical=not task.overlappable,
-                prefer_yx=prefer_yx,
-            ))
-    return flows, max(hop_factor, 1)

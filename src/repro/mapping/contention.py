@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.hardware.topologies import Link, MeshTopology
+from repro.hardware.topologies import Topology
 from repro.mapping.routing import Flow
 
 LinkKey = Tuple[int, int]
@@ -19,32 +19,30 @@ LinkKey = Tuple[int, int]
 
 @dataclass
 class LinkLoadMap:
-    """Per-link byte loads accumulated from a set of flows."""
+    """Per-link byte loads accumulated from a set of flows.
+
+    Attributes:
+        loads: bytes per step on every loaded link, from all flows.
+        critical: the same, from critical-path flows only (overlappable
+            traffic such as TATP streams is left out).
+    """
 
     loads: Dict[LinkKey, float]
+    critical: Dict[LinkKey, float]
 
     @classmethod
-    def from_flows(
-        cls, flows: Iterable[Flow], critical_only: bool = False
-    ) -> "LinkLoadMap":
-        """Accumulate loads from ``flows`` (optionally only critical ones)."""
+    def from_flows(cls, flows: Iterable[Flow]) -> "LinkLoadMap":
+        """Accumulate ``loads`` and ``critical`` in one pass over ``flows``."""
         loads: Dict[LinkKey, float] = {}
+        critical: Dict[LinkKey, float] = {}
         for flow in flows:
-            if critical_only and not flow.critical:
-                continue
+            total = flow.total_bytes
             for link in flow.path:
                 key = (link.src, link.dst)
-                loads[key] = loads.get(key, 0.0) + flow.total_bytes
-        return cls(loads=loads)
-
-    @property
-    def num_loaded_links(self) -> int:
-        """Number of links carrying any traffic."""
-        return sum(1 for load in self.loads.values() if load > 0)
-
-    def load_of(self, link: Link) -> float:
-        """Bytes carried by ``link``."""
-        return self.loads.get((link.src, link.dst), 0.0)
+                loads[key] = loads.get(key, 0.0) + total
+                if flow.critical:
+                    critical[key] = critical.get(key, 0.0) + total
+        return cls(loads=loads, critical=critical)
 
     def max_load(self) -> float:
         """Bytes on the most congested link (0 when there is no traffic)."""
@@ -74,12 +72,12 @@ class LinkLoadMap:
         return self.max_load() / mean
 
     def utilization(
-        self, topology: MeshTopology, window_seconds: float, bandwidth: float
+        self, topology: Topology, window_seconds: float, bandwidth: float
     ) -> float:
-        """Average utilisation of all mesh links over a time window.
+        """Average utilisation of all the fabric's links over a time window.
 
         Args:
-            topology: the mesh whose link count normalises the figure.
+            topology: the fabric whose link count normalises the figure.
             window_seconds: duration of the execution window.
             bandwidth: per-link bandwidth in bytes/second.
         """

@@ -9,6 +9,11 @@ and a :class:`~repro.hardware.wafer.WaferScaleChip` and decides
 producing a :class:`MappingResult` with routed flows, per-task hop factors,
 and link-load statistics the simulator turns into time.
 
+The flows are the only traffic record: the
+:class:`~repro.mapping.contention.LinkLoadMap` is built from them, and the
+TCME optimizer rewrites them (and the load map with them) without touching
+the per-task hop factors.
+
 The three engines reproduce the evaluation's mapper axis:
 
 * **SMap** — fixed dimension nesting order and naive row-major die ordering;
@@ -25,10 +30,10 @@ The three engines reproduce the evaluation's mapper axis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.topologies import MeshTopology
+from repro.hardware.topologies import Topology
 from repro.hardware.wafer import WaferScaleChip
 from repro.mapping.collectives import expand_task
 from repro.mapping.contention import LinkLoadMap
@@ -43,49 +48,30 @@ from repro.parallelism.strategies import ExecutionPlan
 
 
 @dataclass
-class TaskRouting:
-    """Routing outcome of one communication task."""
-
-    task: CommTask
-    hop_factor: int
-    flows: List[Flow] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> float:
-        """Bytes per step injected by this task across all its flows."""
-        return sum(flow.total_bytes for flow in self.flows)
-
-
-@dataclass
 class MappingResult:
-    """Complete outcome of mapping a plan onto a wafer."""
+    """Complete outcome of mapping a plan onto a wafer.
+
+    Attributes:
+        hop_factors: worst physical hops per logical step (>= 1) of each
+            task, keyed by task label; the first task with a label wins.
+        tatp_hop_factor: worst hop factor across TATP streaming tasks (1
+            when there are none).
+    """
 
     engine: str
     plan: ExecutionPlan
     dies: List[int]
     dimension_order: Tuple[str, ...]
     groups: Dict[str, List[List[int]]]
-    task_routings: List[TaskRouting]
     flows: List[Flow]
     link_loads: LinkLoadMap
-    critical_link_loads: LinkLoadMap
+    hop_factors: Dict[str, int]
+    tatp_hop_factor: int
     optimization: Optional[OptimizationReport] = None
 
     def hop_factor_for(self, task: CommTask) -> int:
         """Worst physical hops per logical step of ``task`` (>= 1)."""
-        for routing in self.task_routings:
-            if routing.task is task or routing.task.label == task.label:
-                return max(routing.hop_factor, 1)
-        return 1
-
-    @property
-    def tatp_hop_factor(self) -> int:
-        """Worst hop factor across TATP streaming tasks (1 when contiguous)."""
-        factors = [
-            routing.hop_factor for routing in self.task_routings
-            if routing.task.dimension == "tatp"
-        ]
-        return max(factors) if factors else 1
+        return self.hop_factors.get(task.label, 1)
 
     @property
     def max_link_load(self) -> float:
@@ -112,12 +98,7 @@ class MappingEngine:
         """Map ``plan`` onto ``wafer`` and route its communication."""
         dies = self._die_ordering(wafer, plan)
         order = self._dimension_order(plan, wafer)
-        result = self._map_with(plan, wafer, dies, order)
-        flows, optimization = self._post_process(result.flows, wafer.topology)
-        if flows is not result.flows:
-            result = self._rebuild_with_flows(result, flows)
-        result.optimization = optimization
-        return result
+        return self._map_with(plan, wafer, dies, order)
 
     def _map_with(
         self,
@@ -130,36 +111,27 @@ class MappingEngine:
         intra_spec = plan.spec.without_pipeline()
         stage_dies = list(dies)[: intra_spec.intra_stage_degree]
         groups = build_parallel_groups(intra_spec, stage_dies, order=order)
-        task_routings, flows = self._route_tasks(plan, groups, wafer.topology)
+        flows: List[Flow] = []
+        hop_factors: Dict[str, int] = {}
+        tatp_hops: List[int] = []
+        for task in plan.all_tasks:
+            task_flows, hop_factor = expand_task(
+                task, self._groups_for_task(task, groups, plan),
+                wafer.topology, reorder_groups=self.reorder_groups)
+            flows.extend(task_flows)
+            hop_factors.setdefault(task.label, max(hop_factor, 1))
+            if task.dimension == "tatp":
+                tatp_hops.append(hop_factor)
         return MappingResult(
             engine=self.name,
             plan=plan,
             dies=stage_dies,
             dimension_order=tuple(order),
             groups=groups,
-            task_routings=task_routings,
             flows=flows,
             link_loads=LinkLoadMap.from_flows(flows),
-            critical_link_loads=LinkLoadMap.from_flows(flows, critical_only=True),
-            optimization=None,
-        )
-
-    @staticmethod
-    def _rebuild_with_flows(
-        result: MappingResult, flows: List[Flow]
-    ) -> MappingResult:
-        """Return a copy of ``result`` with rewritten (e.g. rerouted) flows."""
-        return MappingResult(
-            engine=result.engine,
-            plan=result.plan,
-            dies=result.dies,
-            dimension_order=result.dimension_order,
-            groups=result.groups,
-            task_routings=result.task_routings,
-            flows=flows,
-            link_loads=LinkLoadMap.from_flows(flows),
-            critical_link_loads=LinkLoadMap.from_flows(flows, critical_only=True),
-            optimization=result.optimization,
+            hop_factors=hop_factors,
+            tatp_hop_factor=max(tatp_hops, default=1),
         )
 
     # Hooks the engines specialise ------------------------------------------------
@@ -174,31 +146,7 @@ class MappingEngine:
         """Nesting order of parallel dimensions (outermost first)."""
         return DEFAULT_DIMENSION_ORDER
 
-    def _post_process(
-        self, flows: List[Flow], topology: MeshTopology
-    ) -> Tuple[List[Flow], Optional[OptimizationReport]]:
-        """Optionally rewrite the routed flows (TCME's optimizer)."""
-        return flows, None
-
     # Shared helpers ----------------------------------------------------------------
-
-    def _route_tasks(
-        self,
-        plan: ExecutionPlan,
-        groups: Dict[str, List[List[int]]],
-        topology: MeshTopology,
-    ) -> Tuple[List[TaskRouting], List[Flow]]:
-        routings: List[TaskRouting] = []
-        all_flows: List[Flow] = []
-        for task in plan.all_tasks:
-            task_groups = self._groups_for_task(task, groups, plan)
-            flows, hop_factor = expand_task(
-                task, task_groups, topology,
-                reorder_groups=self.reorder_groups)
-            routings.append(TaskRouting(task=task, hop_factor=hop_factor,
-                                        flows=flows))
-            all_flows.extend(flows)
-        return routings, all_flows
 
     @staticmethod
     def _groups_for_task(
@@ -317,9 +265,9 @@ class TCMEEngine(MappingEngine):
         optimizer = TrafficOptimizer(wafer.topology,
                                      max_iterations=self.max_iterations)
         flows, report = optimizer.optimize(best.flows)
-        best = self._rebuild_with_flows(best, flows)
-        best.optimization = report
-        return best
+        return replace(best, flows=flows,
+                       link_loads=LinkLoadMap.from_flows(flows),
+                       optimization=report)
 
     def _candidate_layouts(
         self, plan: ExecutionPlan, wafer: WaferScaleChip
@@ -351,7 +299,7 @@ class TCMEEngine(MappingEngine):
         return layouts
 
 
-def snake_order(topology: MeshTopology) -> List[int]:
+def snake_order(topology: Topology) -> List[int]:
     """Boustrophedon ordering of healthy dies: consecutive dies are adjacent.
 
     Row 0 runs left to right, row 1 right to left, and so on, so a group of

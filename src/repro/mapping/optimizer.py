@@ -16,10 +16,10 @@ is reached — the five phases of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.topologies import Link, MeshTopology
+from repro.hardware.topologies import Link, Topology
 from repro.mapping.contention import LinkLoadMap, flows_through
 from repro.mapping.routing import Flow
 
@@ -50,7 +50,7 @@ class TrafficOptimizer:
 
     def __init__(
         self,
-        topology: MeshTopology,
+        topology: Topology,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ) -> None:
         if max_iterations < 1:
@@ -126,20 +126,8 @@ class TrafficOptimizer:
             key = (flow.task_label, flow.src, flow.dst, flow.num_bytes,
                    flow.critical)
             existing = merged.get(key)
-            if existing is None:
-                merged[key] = flow
-            else:
-                combined = Flow(
-                    src=flow.src,
-                    dst=flow.dst,
-                    num_bytes=flow.num_bytes,
-                    count=max(existing.count, flow.count),
-                    task_label=flow.task_label,
-                    dimension=flow.dimension,
-                    path=list(existing.path),
-                    critical=flow.critical or existing.critical,
-                )
-                merged[key] = combined
+            merged[key] = flow if existing is None else replace(
+                existing, count=max(existing.count, flow.count))
         return list(merged.values())
 
     # Phase 4b: congestion-aware rerouting ---------------------------------------------
@@ -155,7 +143,9 @@ class TrafficOptimizer:
         Tries the alternative dimension-ordered route first (YX instead of
         XY), then a BFS path that explicitly avoids the hot link. Returns
         ``None`` when no useful detour exists (e.g. the flow is a single-hop
-        neighbour transfer).
+        neighbour transfer). Callers pass only flows that cross
+        ``hot_link``; both alternatives avoid it, so each is a non-empty
+        path different from the flow's own.
         """
         if flow.hops <= 1:
             return None
@@ -173,10 +163,6 @@ class TrafficOptimizer:
         best: Optional[List[Link]] = None
         best_cost: Optional[float] = None
         for path in alternatives:
-            if not path:
-                continue
-            if path == flow.path:
-                continue
             cost = max(
                 load_map.loads.get((link.src, link.dst), 0.0) for link in path
             )

@@ -8,8 +8,8 @@ the traffic-conscious optimizer may later reroute them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
 
 from repro.hardware.topologies import Link, Topology
 
@@ -24,8 +24,8 @@ class Flow:
         num_bytes: bytes carried per execution.
         count: executions per training step.
         task_label: label of the communication task this flow belongs to.
-        dimension: parallelism dimension that generated the traffic.
         path: the directed links the flow traverses (empty when src == dst).
+            Routed flows share the tuple with the topology's route tables.
         critical: whether the parent task sits on the critical path (False for
             overlappable traffic such as TATP streams).
     """
@@ -35,8 +35,7 @@ class Flow:
     num_bytes: float
     count: float = 1.0
     task_label: str = ""
-    dimension: str = ""
-    path: List[Link] = field(default_factory=list)
+    path: Tuple[Link, ...] = ()
     critical: bool = True
 
     @property
@@ -49,23 +48,13 @@ class Flow:
         """Number of links the flow traverses."""
         return len(self.path)
 
-    def rerouted(self, path: List[Link]) -> "Flow":
+    def rerouted(self, path: Sequence[Link]) -> "Flow":
         """Return a copy of the flow following a different path."""
         if path and (path[0].src != self.src or path[-1].dst != self.dst):
             raise ValueError(
                 f"path endpoints {path[0].src}->{path[-1].dst} do not match "
                 f"flow {self.src}->{self.dst}")
-        clone = Flow(
-            src=self.src,
-            dst=self.dst,
-            num_bytes=self.num_bytes,
-            count=self.count,
-            task_label=self.task_label,
-            dimension=self.dimension,
-            path=list(path),
-            critical=self.critical,
-        )
-        return clone
+        return replace(self, path=tuple(path))
 
 
 def route_flow(
@@ -75,44 +64,40 @@ def route_flow(
     num_bytes: float,
     count: float = 1.0,
     task_label: str = "",
-    dimension: str = "",
     critical: bool = True,
-    prefer_yx: bool = False,
 ) -> Flow:
-    """Create a flow following the fabric's canonical (XY or YX) route.
+    """Create a flow following the fabric's canonical route.
 
-    On mesh-like fabrics the canonical routes are dimension-ordered; other
+    On mesh-like fabrics the canonical route is dimension-ordered (XY); other
     families route by deterministic BFS. Falls back to a BFS shortest path
     when the canonical route is blocked by failed links.
     """
     if src == dst:
-        path: List[Link] = []
+        path: Tuple[Link, ...] = ()
     else:
         tables = topology.route_tables
-        cached = tables.paths.get((src, dst, prefer_yx))
+        cached = tables.paths.get((src, dst))
         if cached is not None:
             tables.hits += 1
-            path = list(cached)
+            path = cached
         else:
             try:
-                path = (topology.yx_route(src, dst) if prefer_yx
-                        else topology.xy_route(src, dst))
+                found = topology.xy_route(src, dst)
             except KeyError:
                 found = topology.shortest_path(src, dst)
                 if found is None:
                     raise ValueError(
                         f"no route between die {src} and die {dst} "
                         "(too many failed links)") from None
-                path = found
+            path = tuple(found)
             tables.misses += 1
-            tables.paths[(src, dst, prefer_yx)] = tuple(path)
+            tables.paths[(src, dst)] = path
     return Flow(
         src=src,
         dst=dst,
         num_bytes=num_bytes,
         count=count,
         task_label=task_label,
-        dimension=dimension,
         path=path,
         critical=critical,
     )

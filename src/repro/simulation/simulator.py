@@ -145,7 +145,8 @@ class WaferSimulator:
             key = task.dimension or task.kind.value
             comm_by_dimension[key] = comm_by_dimension.get(key, 0.0) + total
         critical_floor = bottleneck_time(
-            mapping.critical_link_loads.max_load(), wafer_config.d2d, self.config)
+            max(mapping.link_loads.critical.values(), default=0.0),
+            wafer_config.d2d, self.config)
         critical_time = max(critical_time, critical_floor)
 
         # Overlappable communication ---------------------------------------------------
@@ -228,7 +229,7 @@ class WaferSimulator:
     def _overlap_max_link_load(mapping: MappingResult) -> float:
         """Busiest-link byte load contributed by overlappable traffic."""
         total = mapping.link_loads.loads
-        critical = mapping.critical_link_loads.loads
+        critical = mapping.link_loads.critical
         worst = 0.0
         for link, load in total.items():
             overlap_load = load - critical.get(link, 0.0)
@@ -239,7 +240,7 @@ class WaferSimulator:
     def _overlap_contention_factor(mapping: MappingResult) -> float:
         """Slowdown of overlappable traffic from links shared with critical traffic."""
         total = mapping.link_loads.loads
-        critical = mapping.critical_link_loads.loads
+        critical = mapping.link_loads.critical
         factor = 1.0
         for link, load in total.items():
             overlap_load = load - critical.get(link, 0.0)

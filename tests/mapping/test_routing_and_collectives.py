@@ -27,7 +27,7 @@ class TestFlow:
 
     def test_self_flow_has_empty_path(self, mesh):
         flow = route_flow(mesh, 3, 3, num_bytes=100)
-        assert flow.path == []
+        assert flow.path == ()
         assert flow.hops == 0
 
     def test_count_multiplies_total_bytes(self, mesh):
@@ -116,6 +116,25 @@ class TestExpandTask:
         flows, hops = expand_task(task, [[0]], mesh)
         assert flows == [] and hops == 0
 
+    @pytest.mark.parametrize("reorder_groups", [True, False])
+    @pytest.mark.parametrize("kind, expected", [
+        # P2P is charged its routed path: the failed 0-1 link forces a
+        # three-hop detour.
+        (CollectiveType.P2P, 3),
+        # Rings and streams are charged the fabric's hop_cost, which on a
+        # mesh is the Manhattan distance on the full grid.
+        (CollectiveType.ALL_REDUCE, 1),
+        (CollectiveType.STREAM, 1),
+    ])
+    def test_hop_factor_rule_per_kind_around_failed_link(
+            self, kind, expected, reorder_groups):
+        broken = MeshTopology(4, 8, failed_links=[(0, 1)])
+        task = CommTask(kind, group_size=2, bytes_per_device=10)
+        flows, hops = expand_task(task, [[0, 1]], broken,
+                                  reorder_groups=reorder_groups)
+        assert hops == expected
+        assert all(flow.hops == 3 for flow in flows)
+
     def test_multiple_groups_expand_independently(self, mesh):
         task = CommTask(CollectiveType.ALL_GATHER, group_size=4,
                         bytes_per_device=10)
@@ -127,15 +146,19 @@ class TestLinkLoadMap:
     def test_loads_accumulate_over_flows(self, mesh):
         flows = [route_flow(mesh, 0, 2, 100), route_flow(mesh, 1, 2, 50)]
         loads = LinkLoadMap.from_flows(flows)
-        assert loads.load_of(mesh.link(1, 2)) == pytest.approx(150)
+        assert loads.loads[(1, 2)] == pytest.approx(150)
         assert loads.max_load() == pytest.approx(150)
         assert loads.max_load_link() == (1, 2)
 
-    def test_critical_only_filter(self, mesh):
+    def test_critical_loads_exclude_overlappable_flows(self, mesh):
         critical = route_flow(mesh, 0, 1, 100, critical=True)
         overlap = route_flow(mesh, 0, 1, 100, critical=False)
-        loads = LinkLoadMap.from_flows([critical, overlap], critical_only=True)
-        assert loads.max_load() == pytest.approx(100)
+        stream = route_flow(mesh, 2, 3, 40, critical=False)
+        loads = LinkLoadMap.from_flows([critical, overlap, stream])
+        assert loads.loads == {(0, 1): pytest.approx(200),
+                               (2, 3): pytest.approx(40)}
+        assert loads.critical == {(0, 1): pytest.approx(100)}
+        assert loads.max_load() == pytest.approx(200)
 
     def test_empty_flows(self):
         loads = LinkLoadMap.from_flows([])
