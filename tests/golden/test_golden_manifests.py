@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.scenario import SCHEMA_VERSION, Scenario
+from repro.api.service import PlanService
 from repro.runner import orchestrator
 from repro.runner.manifest import validate_manifest
 from repro.runner.registry import get_experiment
@@ -29,8 +31,13 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: Figures whose reduced grids are pinned — cheap enough for tier-1. fig13 is
 #: a cartesian single-wafer grid and fig19 a zipped multi-wafer grid;
 #: fabric_zoo reaches the non-mesh fabrics, fig20 faulty wafers (the BFS
-#: route fallback) and fig07 the scattered, no-reorder SMap path.
-GOLDEN_FIGURES = ["fig13", "fig19", "fabric_zoo", "fig20", "fig07"]
+#: route fallback), fig07 the scattered, no-reorder SMap path, fig15 the GPU
+#: comparator and fig16 the ablation search.
+GOLDEN_FIGURES = ["fig13", "fig19", "fabric_zoo", "fig20", "fig07", "fig15",
+                  "fig16"]
+
+#: Fabrics of the pinned dual-level solve (``None`` is the default mesh).
+SOLVE_FABRICS = {"mesh": None, "torus": {"name": "torus"}}
 
 pytestmark = pytest.mark.slow  # each test runs a full reduced grid
 
@@ -86,3 +93,37 @@ def test_golden_files_are_well_formed(figure):
     assert golden["rows"], "golden manifest has no rows"
     for row in golden["rows"]:
         assert set(row) == set(experiment.schema)
+
+
+def _solve_document(topology):
+    """One ``PlanService.solve`` payload, minus its wall-clock field.
+
+    The problem is the ``dls_search`` benchmark's: gpt3-76b, 10 candidates
+    and 8 GA generations, on a fresh service.
+    """
+    hardware = {} if topology is None else {"topology": topology}
+    scenario = Scenario.from_dict({
+        "schema_version": SCHEMA_VERSION,
+        "workload": {"model": "gpt3-76b"},
+        "hardware": hardware,
+        "solver": {"scheme": "temp", "engine": "tcme",
+                   "max_candidates": 10, "ga_generations": 8},
+    })
+    payload = PlanService().solve(scenario).to_dict()
+    del payload["search_seconds"]
+    return payload
+
+
+def test_solve_reproduces_golden_payloads(update_goldens):
+    document = {name: _solve_document(topology)
+                for name, topology in SOLVE_FABRICS.items()}
+    path = GOLDEN_DIR / "solve.json"
+    if update_goldens:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(json.dumps(document, indent=2, sort_keys=True)
+                        + "\n", encoding="utf-8")
+        pytest.skip(f"updated {path}")
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(document)) == golden, (
+        "PlanService.solve payload drifted from the golden; if the change "
+        "is intentional, refresh with `pytest tests/golden --update-goldens`")
