@@ -183,9 +183,9 @@ class HardwareSpec:
             raise ScenarioError(
                 "fault injection on multi-wafer systems is not modelled; "
                 "use num_wafers=1 for fault studies")
-        # The multi-wafer and fault paths build their wafers internally and
-        # model the mesh fabric; only allow non-mesh topologies where the
-        # fabric actually threads through (the single-wafer paths).
+        # The fault path builds its own healthy and faulty mesh wafers, and
+        # the multi-wafer path chains mesh wafers (it simulates a stage on the
+        # service's wafer); only the single-wafer paths model other fabrics.
         if (self.topology is not None
                 and self.topology.get("name") != DEFAULT_TOPOLOGY):
             if self.num_wafers > 1:

@@ -1,8 +1,9 @@
 """The plan-service facade of the Scenario API.
 
 :class:`PlanService` is the one front door to the framework's evaluation
-paths: it owns the shared :class:`~repro.costmodel.tables.PlanCache`, caches
-resolved wafers per hardware spec, and dispatches a
+paths and the only carrier of their shared state: it owns the
+:class:`~repro.costmodel.tables.PlanCache`, caches resolved wafers and solver
+cost tables per hardware spec, and dispatches a
 :class:`~repro.api.scenario.Scenario` to the single-wafer search, the
 pinned-spec simulation, the multi-wafer (pipelined) search, the
 fault-tolerance evaluation, or the GPU comparator cluster.
@@ -18,9 +19,11 @@ Scenarios evaluated on one service share work through two bounded LRU
 memos, both pure memoisation of deterministic computations (so results are
 bit-identical to a fresh service per scenario):
 
-* **wafers** — one resolved wafer per geometry + fabric; its topology's
-  :class:`~repro.hardware.topologies.base.RouteTables` memoise routes, ring
-  orderings, and hop factors for every scenario evaluated on it;
+* **wafers** — one resolved wafer per geometry + fabric (a multi-wafer
+  scenario simulates its stages on the memoised wafer of one chain member);
+  its topology's :class:`~repro.hardware.topologies.base.RouteTables`
+  memoise routes, ring orderings, and hop factors for every scenario
+  evaluated on it;
 * **tables** — one solver :class:`~repro.costmodel.tables.CostTables` per
   hardware document + model, re-sliced with
   :meth:`~repro.costmodel.tables.CostTables.subset` when a solve only
@@ -50,7 +53,6 @@ from repro.core.framework import (
     run_baseline_scenario,
     scheme_max_tp,
     simulate_fixed_spec,
-    simulate_with_fallback,
 )
 from repro.core.multiwafer import MultiWaferResult, run_multiwafer_scenario
 from repro.costmodel.tables import CostTables, PlanCache
@@ -62,11 +64,16 @@ from repro.parallelism.baselines import candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.gpu import GPUClusterSimulator
-from repro.simulation.simulator import WaferSimulator
-from repro.solver.dlws import DualLevelWaferSolver, SolverResult
+from repro.simulation.simulator import SimulationReport, WaferSimulator
+from repro.solver.dlws import (
+    DualLevelWaferSolver,
+    SolverResult,
+    TablesProvider,
+    build_cost_tables,
+)
 from repro.solver.genetic import GeneticConfig
+from repro.solver.search_space import simulate_with_fallback
 from repro.workloads.models import ModelConfig
-from repro.workloads.transformer import representative_layer_graph
 
 _GB = 1024 ** 3
 
@@ -94,6 +101,23 @@ def _serializable_fields(result) -> Dict[str, object]:
             value = None
         payload[result_field.name] = value
     return payload
+
+
+#: PlanResult fields every wafer path reads off its simulation report.
+_REPORT_FIELDS = ("memory_gb", "compute_utilization", "bandwidth_utilization",
+                  "compute_watts", "dram_watts", "comm_watts", "total_watts",
+                  "power_efficiency")
+
+
+def _report_fields(report: Optional[SimulationReport]) -> Dict[str, float]:
+    """The :data:`_REPORT_FIELDS` of ``report``; zeros when there is none."""
+    if report is None:
+        return dict.fromkeys(_REPORT_FIELDS, 0.0)
+    power = report.power
+    return dict(zip(_REPORT_FIELDS, (
+        report.memory.total / _GB, report.compute_utilization,
+        report.bandwidth_utilization, power.compute, power.dram,
+        power.communication, power.total, report.power_efficiency)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +178,6 @@ class PlanResult:
                       kind: str = "single_wafer") -> "PlanResult":
         """Wrap a single-wafer (or fixed-spec) search result."""
         report = result.report
-        power = report.power if report else None
         step_time = report.step_time if report else float("inf")
         return cls(
             kind=kind,
@@ -167,28 +190,19 @@ class PlanResult:
             compute_time=report.compute_time if report else 0.0,
             comm_time=report.total_comm_time if report else 0.0,
             bubble_time=report.bubble_time if report else 0.0,
-            memory_gb=report.memory.total / _GB if report else 0.0,
             throughput=report.throughput if report else 0.0,
-            compute_utilization=report.compute_utilization if report else 0.0,
-            bandwidth_utilization=(
-                report.bandwidth_utilization if report else 0.0),
-            compute_watts=power.compute if power else 0.0,
-            dram_watts=power.dram if power else 0.0,
-            comm_watts=power.communication if power else 0.0,
-            total_watts=power.total if power else 0.0,
             energy_per_step=(
-                power.total * step_time
-                if power and math.isfinite(step_time) else 0.0),
-            power_efficiency=report.power_efficiency if report else 0.0,
+                report.power.total * step_time
+                if report and math.isfinite(step_time) else 0.0),
             candidates_evaluated=result.candidates_evaluated,
             pp_degree=result.best_spec.pp if result.best_spec else 0,
+            **_report_fields(report),
         )
 
     @classmethod
     def from_multiwafer(cls, result: MultiWaferResult) -> "PlanResult":
         """Wrap a multi-wafer (pipelined) search result."""
         report = result.report
-        power = report.power if report else None
         return cls(
             kind="multi_wafer",
             model=result.model.name,
@@ -200,21 +214,13 @@ class PlanResult:
             compute_time=result.compute_time,
             comm_time=result.comm_time,
             bubble_time=result.bubble_time,
-            memory_gb=report.memory.total / _GB if report else 0.0,
             throughput=result.throughput,
-            compute_utilization=report.compute_utilization if report else 0.0,
-            bandwidth_utilization=(
-                report.bandwidth_utilization if report else 0.0),
-            compute_watts=power.compute if power else 0.0,
-            dram_watts=power.dram if power else 0.0,
-            comm_watts=power.communication if power else 0.0,
-            total_watts=power.total if power else 0.0,
             energy_per_step=(
-                power.total * result.step_time if power else 0.0),
-            power_efficiency=report.power_efficiency if report else 0.0,
+                report.power.total * result.step_time if report else 0.0),
             candidates_evaluated=1,
             num_wafers=result.num_wafers,
             pp_degree=result.best_spec.pp if result.best_spec else 0,
+            **_report_fields(report),
         )
 
     @classmethod
@@ -222,7 +228,6 @@ class PlanResult:
                    scheme: str) -> "PlanResult":
         """Wrap a fault-tolerance evaluation."""
         report = result.report
-        power = report.power
         return cls(
             kind="fault",
             model=result.model.name,
@@ -234,18 +239,11 @@ class PlanResult:
             compute_time=report.compute_time,
             comm_time=report.total_comm_time,
             bubble_time=report.bubble_time,
-            memory_gb=report.memory.total / _GB,
             throughput=result.faulty_throughput,
-            compute_utilization=report.compute_utilization,
-            bandwidth_utilization=report.bandwidth_utilization,
-            compute_watts=power.compute,
-            dram_watts=power.dram,
-            comm_watts=power.communication,
-            total_watts=power.total,
-            energy_per_step=power.total * report.step_time,
-            power_efficiency=report.power_efficiency,
+            energy_per_step=report.power.total * report.step_time,
             candidates_evaluated=1,
             relative_throughput=result.relative_throughput,
+            **_report_fields(report),
         )
 
     @classmethod
@@ -264,17 +262,10 @@ class PlanResult:
             compute_time=0.0,
             comm_time=0.0,
             bubble_time=0.0,
-            memory_gb=0.0,
             throughput=throughput,
-            compute_utilization=0.0,
-            bandwidth_utilization=0.0,
-            compute_watts=0.0,
-            dram_watts=0.0,
-            comm_watts=0.0,
-            total_watts=0.0,
             energy_per_step=0.0,
-            power_efficiency=0.0,
             candidates_evaluated=candidates_evaluated,
+            **_report_fields(None),
         )
 
 
@@ -387,10 +378,9 @@ class PlanService:
     are bit-identical with a private or a shared service.
     """
 
-    def __init__(self, plan_cache: Optional[PlanCache] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.plan_cache = PlanCache()
+        self.registry = MetricsRegistry()
         self._evaluations = self.registry.counter(
             "service.evaluations", help="PlanService.evaluate calls")
         self._evaluate_hist = self.registry.histogram(
@@ -433,13 +423,15 @@ class PlanService:
         engine = scenario.solver.engine
 
         def simulate(spec: ParallelSpec, allow_checkpointing: bool):
-            return simulate_with_fallback(simulator, self.plan_cache, model,
-                                          spec, engine, allow_checkpointing)
+            return simulate_with_fallback(
+                lambda plan: simulator.simulate(plan, engine=engine),
+                self.plan_cache, model, spec, wafer.num_dies,
+                allow_checkpointing)
 
         return simulate
 
     def _tables_for(self, scenario: Scenario, wafer: WaferScaleChip,
-                    config: SimulatorConfig):
+                    config: SimulatorConfig) -> TablesProvider:
         """The solver's ``(model, candidates) -> CostTables`` provider.
 
         A solve whose candidates the memoised tables of its (hardware,
@@ -461,9 +453,7 @@ class PlanService:
                 self._tables.hits += 1
                 return parent.subset(wanted)
             self._tables.misses += 1
-            tables = CostTables(
-                representative_layer_graph(model), wanted, wafer.config,
-                config, hop_factor=wafer.topology.collective_hop_factor())
+            tables = build_cost_tables(wafer, config, model, wanted)
             if parent is None or len(wanted) > len(parent.candidates):
                 self._tables.put(key, tables)
             return tables
@@ -517,8 +507,8 @@ class PlanService:
         if hardware.platform == "gpu_cluster":
             return self._evaluate_gpu(scenario)
         if hardware.num_wafers > 1:
-            return run_multiwafer_scenario(scenario,
-                                           plan_cache=self.plan_cache)
+            return run_multiwafer_scenario(scenario, self.plan_cache,
+                                           self.wafer_for(hardware))
         if hardware.has_fault_study:
             return self._evaluate_faults(scenario)
         wafer = self.wafer_for(hardware)
@@ -594,22 +584,15 @@ class PlanService:
         specs = candidate_specs(
             scheme, num_devices, max_tp=scheme_max_tp(scheme, model),
             max_tatp=solver.max_tatp)
-        best_time = float("inf")
-        best_throughput = 0.0
-        for spec in specs:
-            plan = self.plan_cache.analyze(model, spec,
-                                           num_devices=num_devices)
-            report = simulator.simulate(plan)
-            if report.oom:
-                checkpointed = self.plan_cache.analyze(
-                    model, spec, num_devices=num_devices,
-                    activation_checkpointing=True)
-                report = simulator.simulate(checkpointed)
-                if report.oom:
-                    continue
-            if report.step_time < best_time:
-                best_time = report.step_time
-                best_throughput = report.throughput
+        reports = [simulate_with_fallback(
+            simulator.simulate, self.plan_cache, model, spec, num_devices,
+            allow_checkpointing=True) for spec in specs]
+        # GPU reports carry no memory pressure, so no OOM fallback applies:
+        # the fastest fitting report wins (the earliest on a tie).
+        best = min((report for report in reports if not report.oom),
+                   key=lambda report: report.step_time, default=None)
+        best_time = best.step_time if best else float("inf")
+        best_throughput = best.throughput if best else 0.0
         return PlanResult.from_gpu(
             model_name=model.name,
             scheme=solver.scheme,

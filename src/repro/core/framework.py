@@ -10,7 +10,9 @@ no-search variant for scenarios that pin one :class:`ParallelSpec`.
 
 Both take a ``simulate(spec, allow_checkpointing)`` callable instead of a
 simulator, which the plan service binds to its shared wafer and plan cache;
-:func:`simulate_with_fallback` is the computation behind it.
+:func:`~repro.solver.search_space.simulate_with_fallback` is the computation
+behind it, and :func:`~repro.solver.search_space.pick_best` the rule that
+picks the winner.
 The TEMP framework itself (TATP + TCME + DLWS, with its +TATP / +TCME
 ablation switches) is a scenario too: see
 :meth:`~repro.api.scenario.SolverSpec.for_framework`.
@@ -26,8 +28,8 @@ from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
-from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.search_space import prune_specs
+from repro.simulation.simulator import SimulationReport
+from repro.solver.search_space import pick_best, prune_specs
 from repro.workloads.models import ModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -113,40 +115,18 @@ def run_baseline_scenario(
         if max_candidates is not None and len(specs) > max_candidates:
             specs = downsample_specs(specs, max_candidates)
 
-    reports: Dict[str, SimulationReport] = {}
-    best_spec: Optional[ParallelSpec] = None
-    best_report: Optional[SimulationReport] = None
-    fallback_spec: Optional[ParallelSpec] = None
-    fallback_report: Optional[SimulationReport] = None
-
     # Full activation recomputation is part of every scheme's toolbox except
     # Megatron-1's, whose replication-reliant execution the paper evaluates
     # with its published (selective-recompute-only) recipe.
     allow_checkpointing = scheme is not BaselineScheme.MEGATRON1
 
     with span("evaluate.simulate", candidates=len(specs)):
-        for spec in specs:
-            report = simulate(spec, allow_checkpointing)
-            reports[spec.label()] = report
-            if report.oom:
-                if (fallback_report is None
-                        or (report.memory_pressure
-                            < fallback_report.memory_pressure)):
-                    fallback_spec, fallback_report = spec, report
-                continue
-            if (best_report is None
-                    or report.step_time < best_report.step_time):
-                best_spec, best_report = spec, report
-
-    if best_report is not None:
-        return BaselineResult(
-            scheme=scheme, engine=engine, model=model,
-            best_spec=best_spec, report=best_report, oom=False,
-            candidates_evaluated=len(specs), all_reports=reports)
+        best_spec, report, oom, reports = pick_best(
+            specs, lambda spec: simulate(spec, allow_checkpointing))
     return BaselineResult(
-        scheme=scheme, engine=engine, model=model,
-        best_spec=fallback_spec, report=fallback_report, oom=True,
-        candidates_evaluated=len(specs), all_reports=reports)
+        scheme=scheme, engine=engine, model=model, best_spec=best_spec,
+        report=report, oom=oom, candidates_evaluated=len(specs),
+        all_reports=reports)
 
 
 def simulate_fixed_spec(scenario: "Scenario",
@@ -171,28 +151,6 @@ def simulate_fixed_spec(scenario: "Scenario",
         candidates_evaluated=1,
         all_reports={spec.label(): report},
     )
-
-
-def simulate_with_fallback(
-    simulator: WaferSimulator,
-    plan_cache: PlanCache,
-    model: ModelConfig,
-    spec: ParallelSpec,
-    engine: str,
-    allow_checkpointing: bool,
-) -> SimulationReport:
-    """Simulate one spec, retrying with activation checkpointing on OOM."""
-    num_devices = simulator.wafer.num_dies
-    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
-    report = simulator.simulate(plan, engine=engine)
-    if report.oom and allow_checkpointing:
-        checkpointed_plan = plan_cache.analyze(
-            model, spec, num_devices=num_devices,
-            activation_checkpointing=True)
-        checkpointed = simulator.simulate(checkpointed_plan, engine=engine)
-        if not checkpointed.oom:
-            report = checkpointed
-    return report
 
 
 def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec]:

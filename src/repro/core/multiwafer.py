@@ -8,7 +8,9 @@ evaluated. The step time of a pipelined run is
 
 plus the inter-stage activation transfers, where ``stage_time`` is the
 single-wafer (or sub-wafer) simulation of one pipeline stage's share of the
-layers. TEMP's advantage on multi-wafer systems comes from needing a *lower*
+layers. The wafers of the chain are identical, so every stage is simulated
+on one wafer: the plan service's memoised wafer for the hardware spec.
+TEMP's advantage on multi-wafer systems comes from needing a *lower*
 pipeline degree (TATP covers more parallelism inside a wafer), which shrinks
 the bubble term.
 """
@@ -20,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.costmodel.tables import PlanCache
 from repro.hardware.multiwafer import MultiWaferSystem
+from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.simulation.config import SimulatorConfig
@@ -57,37 +60,34 @@ class MultiWaferResult:
         }
 
 
-def pipeline_degrees_for(
-    scheme: BaselineScheme, num_wafers: int, allow_sub_wafer_pp: bool = True
-) -> List[int]:
+def pipeline_degrees_for(scheme: BaselineScheme, num_wafers: int) -> List[int]:
     """Pipeline degrees a scheme considers on ``num_wafers`` wafers.
 
-    Baselines without a wafer-tailored parallelism need PP to be a multiple of
-    the wafer count (the paper observes PP = k*N); TEMP can additionally use a
-    PP degree equal to the wafer count or even lower is impossible (a stage
-    cannot span wafers), so its candidates are {N, 2N} while baselines explore
+    A stage cannot span wafers, so PP is a multiple of the wafer count (the
+    paper observes PP = k*N). TEMP covers more parallelism inside a wafer
+    with TATP, so its candidates are {N, 2N} while baselines explore
     {N, 2N, 4N}.
     """
     if num_wafers < 1:
         raise ValueError("num_wafers must be >= 1")
     if scheme is BaselineScheme.TEMP:
         return [num_wafers, 2 * num_wafers]
-    degrees = [num_wafers, 2 * num_wafers, 4 * num_wafers]
-    if not allow_sub_wafer_pp:
-        degrees = [num_wafers]
-    return degrees
+    return [num_wafers, 2 * num_wafers, 4 * num_wafers]
 
 
 def run_multiwafer_scenario(
     scenario: "Scenario",
-    plan_cache: Optional[PlanCache] = None,
+    plan_cache: PlanCache,
+    wafer: WaferScaleChip,
 ) -> MultiWaferResult:
     """Run the multi-wafer (pipelined) search described by ``scenario``.
 
     The scenario's hardware spec supplies the wafer count and the number of
     pipeline microbatches; the solver spec supplies scheme, engine, and the
-    TATP cap. ``plan_cache`` shares one memoised ``analyze_model`` across
-    evaluations (pure memoisation; results are identical with or without it).
+    TATP cap. Every wafer of the chain is identical, so each pipeline stage
+    is simulated on ``wafer``, one wafer of the hardware spec (the plan
+    service's memoised one). ``plan_cache`` shares memoised
+    ``analyze_model`` results across evaluations (pure memoisation).
     """
     solver = scenario.solver
     hardware = scenario.hardware
@@ -97,10 +97,7 @@ def run_multiwafer_scenario(
     num_wafers = hardware.num_wafers
     num_microbatches = hardware.num_microbatches
     config = hardware.resolve_simulator() or SimulatorConfig()
-    plan_cache = plan_cache if plan_cache is not None else PlanCache()
-    system = MultiWaferSystem(num_wafers,
-                              wafer_config=hardware.resolve_config())
-    wafer = system.wafers[0]
+    system = MultiWaferSystem(num_wafers, wafer_config=wafer.config)
     simulator = WaferSimulator(wafer, config)
     dies_per_wafer = wafer.config.num_dies
 

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanResult, PlanService
-from repro.costmodel.tables import PlanCache
 from repro.runner.registry import register
 
 #: Fabric label -> ``HardwareSpec.topology`` spec of each studied fabric.
@@ -152,12 +151,11 @@ class FabricZooStudy:
 def evaluate_fabric(
     model: str,
     fabric: str,
-    plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> FabricCell:
     """Evaluate one (model, fabric) cell of the study."""
     if service is None:
-        service = PlanService(plan_cache=plan_cache)
+        service = PlanService()
     result = service.evaluate(scenario_for_fabric(model, fabric))
     return _cell_from(model, fabric, result)
 
@@ -165,22 +163,20 @@ def evaluate_fabric(
 def run_fabric_zoo(
     models: Optional[Sequence[str]] = None,
     fabrics: Optional[Sequence[str]] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> FabricZooStudy:
-    """Run the fabric-zoo study grid.
+    """Run the fabric-zoo study grid on one :class:`PlanService`.
 
     Args:
         models: model names to evaluate (defaults to :data:`MODELS`).
         fabrics: fabric labels to evaluate (defaults to all of
             :data:`FABRICS`).
-        plan_cache: optional shared ``analyze_model`` memoisation.
 
     Returns:
         The populated :class:`FabricZooStudy`.
     """
     model_names = list(models) if models is not None else list(MODELS)
     fabric_names = list(fabrics) if fabrics is not None else list(FABRICS)
-    service = PlanService(plan_cache=plan_cache)
+    service = PlanService()
     study = FabricZooStudy()
     for model in model_names:
         for fabric in fabric_names:

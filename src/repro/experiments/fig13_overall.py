@@ -21,7 +21,6 @@ from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanResult, PlanService
 from repro.core.framework import BaselineResult
 from repro.core.metrics import geometric_mean
-from repro.costmodel.tables import PlanCache
 from repro.parallelism.baselines import BaselineScheme
 from repro.runner.registry import register
 from repro.workloads.models import TABLE_II_MODELS
@@ -156,49 +155,43 @@ class OverallComparison:
 def evaluate_system_result(
     model_name: str,
     system: str,
-    plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> BaselineResult:
     """Raw :class:`BaselineResult` of one (model, system) pair.
 
     Builds the cell's scenario and runs it through a
-    :class:`~repro.api.service.PlanService` (a fresh one around
-    ``plan_cache`` unless ``service`` is given). Fig. 14 reads the power
-    numbers off the same results this figure reads the latency off, so both
-    share this evaluator.
+    :class:`~repro.api.service.PlanService` (a fresh one unless ``service``
+    is given). Fig. 14 reads the power numbers off the same results this
+    figure reads the latency off, so both share this evaluator.
     """
     if service is None:
-        service = PlanService(plan_cache=plan_cache)
+        service = PlanService()
     return service.evaluate_raw(scenario_for_system(model_name, system))
 
 
 def evaluate_system(
     model_name: str,
     system: str,
-    plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> OverallCell:
     """Evaluate one (model, system) cell of the Fig. 13 grid."""
-    result = evaluate_system_result(model_name, system,
-                                    plan_cache=plan_cache, service=service)
+    result = evaluate_system_result(model_name, system, service=service)
     return _cell_from(model_name, system, PlanResult.from_baseline(result))
 
 
 def run_overall_comparison(
     models: Optional[Sequence[str]] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> OverallComparison:
-    """Run the Fig. 13 grid.
+    """Run the Fig. 13 grid on one :class:`PlanService`.
 
     Args:
         models: model names to evaluate (defaults to all of Table II).
-        plan_cache: optional shared ``analyze_model`` memoisation.
 
     Returns:
         The populated :class:`OverallComparison`.
     """
     model_names = list(models) if models is not None else list(TABLE_II_MODELS)
-    service = PlanService(plan_cache=plan_cache)
+    service = PlanService()
     comparison = OverallComparison()
     for name in model_names:
         for system in SYSTEMS:

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.api.service import PlanResult, PlanService
 from repro.core.metrics import geometric_mean
-from repro.costmodel.tables import PlanCache
 from repro.experiments.fig13_overall import (
     FAST_MODELS,
     SYSTEMS,
@@ -110,22 +109,19 @@ class PowerComparison:
 def evaluate_power_system(
     model_name: str,
     system: str,
-    plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ) -> PowerCell:
     """Evaluate one (model, system) cell of the Fig. 14 grid."""
-    result = evaluate_system_result(model_name, system,
-                                    plan_cache=plan_cache, service=service)
+    result = evaluate_system_result(model_name, system, service=service)
     return _cell_from(model_name, system, PlanResult.from_baseline(result))
 
 
 def run_power_comparison(
     models: Optional[Sequence[str]] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> PowerComparison:
     """Run the Fig. 14 grid (power breakdown + efficiency)."""
     model_names = list(models) if models is not None else list(TABLE_II_MODELS)
-    service = PlanService(plan_cache=plan_cache)
+    service = PlanService()
     comparison = PowerComparison()
     for name in model_names:
         for system in SYSTEMS:

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
 from repro.core.metrics import geometric_mean
-from repro.costmodel.tables import PlanCache
 from repro.runner.registry import register
 from repro.workloads.models import TABLE_II_MODELS
 
@@ -90,7 +89,6 @@ class AblationStudy:
 def evaluate_ablation_step(
     model_name: str,
     step: str,
-    plan_cache: Optional[PlanCache] = None,
     service: Optional[PlanService] = None,
 ):
     """Evaluate one ablation step; returns the raw ``BaselineResult``.
@@ -98,17 +96,16 @@ def evaluate_ablation_step(
     ``step`` is one of :data:`ABLATION_STEPS`.
     """
     if service is None:
-        service = PlanService(plan_cache=plan_cache)
+        service = PlanService()
     return service.evaluate_raw(scenario_for_step(model_name, step))
 
 
 def run_ablation(
     models: Optional[Sequence[str]] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> AblationStudy:
     """Run the Fig. 16 ablation."""
     model_names = list(models) if models is not None else list(TABLE_II_MODELS)
-    service = PlanService(plan_cache=plan_cache)
+    service = PlanService()
     study = AblationStudy()
     for name in model_names:
         row = AblationRow(model=name)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
-from repro.costmodel.tables import PlanCache
 from repro.parallelism.baselines import BaselineScheme
 from repro.runner.registry import register
 from repro.workloads.models import MULTI_WAFER_MODELS
@@ -118,20 +117,18 @@ def run_multiwafer_study(
     models: Optional[Dict[str, int]] = None,
     systems: Optional[Sequence[Tuple[BaselineScheme, str, str]]] = None,
     num_microbatches: int = 16,
-    plan_cache: Optional[PlanCache] = None,
 ) -> MultiWaferStudy:
-    """Run the Fig. 19 study.
+    """Run the Fig. 19 study on one :class:`PlanService`.
 
     Args:
         models: mapping of model name -> wafer count (defaults to the paper's
             four models).
         systems: (scheme, engine, label) triples to evaluate.
         num_microbatches: pipeline microbatches per step.
-        plan_cache: optional shared ``analyze_model`` memoisation.
     """
     model_map = dict(models) if models is not None else dict(MULTI_WAFER_MODELS)
     grid = list(systems) if systems is not None else list(MULTI_WAFER_GRID)
-    service = PlanService(plan_cache=plan_cache)
+    service = PlanService()
     study = MultiWaferStudy()
     for name, num_wafers in model_map.items():
         for scheme, engine, label in grid:

@@ -17,14 +17,13 @@ from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.core.framework import downsample_specs
 from repro.costmodel.tables import CostTables
 from repro.hardware.config import default_wafer_config
-from repro.hardware.wafer import WaferScaleChip
-from repro.parallelism.baselines import BaselineScheme
+from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.runner.registry import register
 from repro.simulation.config import SimulatorConfig
 from repro.solver.dp import optimize_segments
 from repro.solver.exhaustive import ExhaustiveSolver
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace
+from repro.solver.search_space import prune_specs
 from repro.workloads.models import get_model
 from repro.workloads.transformer import representative_layer_graph
 
@@ -95,14 +94,11 @@ def run_search_time_comparison(
     config = config or SimulatorConfig()
     wafer_config = default_wafer_config()
     model = get_model(model_name)
-    wafer = WaferScaleChip(wafer_config)
-
-    space = SearchSpace(model=model, num_devices=num_dies,
-                        scheme=BaselineScheme.TEMP)
-    candidates = space.pruned_candidates(wafer_config)
-    if not candidates:
-        candidates = space.candidates()
-    candidates = downsample_specs(candidates, max_candidates)
+    candidates = candidate_specs(BaselineScheme.TEMP, num_dies,
+                                 max_tp=min(32, model.num_heads))
+    candidates = downsample_specs(
+        prune_specs(candidates, model, wafer_config) or candidates,
+        max_candidates)
 
     graph = representative_layer_graph(model)
 

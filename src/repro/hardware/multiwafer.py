@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.hardware.config import WaferConfig, default_wafer_config
-from repro.hardware.wafer import WaferScaleChip
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,8 @@ class MultiWaferSystem:
     ``i * num_wafers / pp_degree`` onwards. Activation transfers between
     consecutive pipeline stages that live on different wafers pay the
     inter-wafer link cost; stages on the same wafer use regular D2D paths.
+    The wafers themselves are not built: every wafer shares one
+    :class:`WaferConfig`, so the system's totals follow from it.
 
     Args:
         num_wafers: number of wafers in the system.
@@ -54,9 +55,6 @@ class MultiWaferSystem:
             raise ValueError(f"num_wafers must be positive, got {num_wafers}")
         self.num_wafers = num_wafers
         self.wafer_config = wafer_config or default_wafer_config()
-        self.wafers: List[WaferScaleChip] = [
-            WaferScaleChip(self.wafer_config) for _ in range(num_wafers)
-        ]
         self.links: List[InterWaferLink] = [
             InterWaferLink(
                 src_wafer=index,
@@ -70,17 +68,17 @@ class MultiWaferSystem:
     @property
     def total_dies(self) -> int:
         """Total number of dies across all wafers."""
-        return sum(wafer.config.num_dies for wafer in self.wafers)
+        return self.num_wafers * self.wafer_config.num_dies
 
     @property
     def total_peak_flops(self) -> float:
         """Aggregate peak FLOPS of the whole system."""
-        return sum(wafer.aggregate_peak_flops() for wafer in self.wafers)
+        return self.num_wafers * self.wafer_config.total_peak_flops
 
     @property
     def total_hbm_capacity(self) -> float:
         """Aggregate HBM capacity of the whole system, in bytes."""
-        return sum(wafer.aggregate_hbm_capacity() for wafer in self.wafers)
+        return self.num_wafers * self.wafer_config.total_hbm_capacity
 
     def wafer_of_stage(self, stage: int, pp_degree: int) -> int:
         """Which wafer hosts pipeline stage ``stage`` of ``pp_degree`` stages.

@@ -7,7 +7,7 @@ The package turns the thirteen figure reproductions under
   runner together with its parameter grids and manifest row schema,
 * :mod:`repro.runner.orchestrator` — expands a grid into cells and executes
   them serially or across worker processes (one shared
-  :class:`~repro.costmodel.tables.PlanCache` per worker),
+  :class:`~repro.api.service.PlanService` per worker),
 * :mod:`repro.runner.manifest` — the ``results/<figure>.json`` artifact
   format every runner emits, plus its validator,
 * :mod:`repro.runner.docs` — the generated ``EXPERIMENTS.md`` index,

@@ -4,11 +4,12 @@ A figure's grid is expanded into cells (one dict of parameters each) and the
 cells are executed either in-process (``jobs=1``) or across a
 ``concurrent.futures.ProcessPoolExecutor``. Each worker process builds one
 :class:`~repro.runner.context.RunContext` in its initializer, so every cell
-the worker executes shares a single :class:`~repro.costmodel.tables.PlanCache`
-instead of re-deriving execution plans per cell.
+the worker executes shares a single :class:`~repro.api.service.PlanService`
+(plan cache, wafer and cost-table memos) instead of re-deriving execution
+plans per cell.
 
-Determinism contract: cells are independent and the plan cache is a pure
-memoisation layer, so the manifest ``rows`` of a parallel run are
+Determinism contract: cells are independent and the service's state is a
+pure memoisation layer, so the manifest ``rows`` of a parallel run are
 bit-identical to a serial run — results are collected in grid order
 regardless of completion order. ``tests/runner/test_orchestrator.py`` pins
 this for a real figure.
@@ -100,11 +101,11 @@ def execute_cell(
     oom_rows = sum(1 for row in rows if row.get("oom"))
     # Chaos/unit harnesses drive cells with a stub context; they simply
     # contribute no cache snapshot.
-    plan_cache = getattr(ctx, "plan_cache", None)
+    service = getattr(ctx, "service", None)
     return CellOutcome(params=params, rows=rows, wall_seconds=wall,
                        oom_rows=oom_rows, error=error, retries=attempts - 1,
-                       cache_stats=(plan_cache.stats()
-                                    if plan_cache is not None else None),
+                       cache_stats=(service.plan_cache.stats()
+                                    if service is not None else None),
                        pid=os.getpid())
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.hardware.wafer import WaferScaleChip
-from repro.mapping.engines import MappingEngine, MappingResult, get_engine
+from repro.mapping.engines import MappingResult, get_engine
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.communication import bottleneck_time, task_time
 from repro.simulation.compute import compute_time, compute_utilization
@@ -84,32 +84,19 @@ class WaferSimulator:
         self.wafer = wafer or WaferScaleChip()
         self.config = config or SimulatorConfig()
 
-    def simulate(
-        self,
-        plan: ExecutionPlan,
-        mapping: Optional[MappingResult] = None,
-        engine: str = "tcme",
-    ) -> SimulationReport:
+    def simulate(self, plan: ExecutionPlan,
+                 engine: str = "tcme") -> SimulationReport:
         """Simulate one training step of ``plan``.
 
         Args:
             plan: the execution plan produced by the strategy analysis.
-            mapping: an existing mapping result; when omitted the named
-                ``engine`` is run first.
-            engine: mapping engine name used when ``mapping`` is None.
+            engine: name of the mapping engine that places ``plan`` on the
+                wafer first.
 
         Returns:
             The :class:`SimulationReport` of the step.
         """
-        if mapping is None:
-            mapping = get_engine(engine).map(plan, self.wafer)
-        return self._simulate_mapped(plan, mapping)
-
-    def simulate_with_engine(
-        self, plan: ExecutionPlan, engine: MappingEngine
-    ) -> SimulationReport:
-        """Simulate ``plan`` using a pre-constructed mapping engine."""
-        mapping = engine.map(plan, self.wafer)
+        mapping = get_engine(engine).map(plan, self.wafer)
         return self._simulate_mapped(plan, mapping)
 
     # Internals --------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 DLWS orchestrates the full search for one model on one wafer:
 
-1. enumerate and prune candidate configurations (:mod:`repro.solver.search_space`),
+1. enumerate and prune candidate configurations (:func:`candidate_specs`,
+   :func:`~repro.solver.search_space.prune_specs`),
 2. build the representative-layer compute graph and cut it at residual-free
    boundaries,
 3. run the dynamic program to get a strong per-operator assignment,
 4. refine it with the genetic algorithm,
 5. evaluate the best whole-model configurations through the full simulator and
-   return the winner together with its simulation report.
+   return the winner (:func:`~repro.solver.search_space.pick_best`) together
+   with its simulation report.
 
 Steps 3-4 use the fast analytical/learned cost model; only a handful of
 finalists reach the simulator, which is how the solver stays ~200x faster than
@@ -17,23 +19,43 @@ exhaustive/ILP search while matching its quality.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.costmodel.tables import CostTables, PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
-from repro.parallelism.baselines import BaselineScheme
+from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
 from repro.solver.dp import optimize_segments
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace
+from repro.solver.search_space import pick_best, prune_specs, simulate_with_fallback
 from repro.workloads.models import ModelConfig
 from repro.workloads.transformer import representative_layer_graph
+
+#: ``(model, candidates) -> CostTables``: where a solve gets its cost tables.
+TablesProvider = Callable[[ModelConfig, Sequence[ParallelSpec]], CostTables]
+
+
+def build_cost_tables(
+    wafer: WaferScaleChip,
+    config: SimulatorConfig,
+    model: ModelConfig,
+    candidates: Sequence[ParallelSpec],
+) -> CostTables:
+    """Fresh cost tables of ``model``'s representative layer on ``wafer``.
+
+    The fabric's analytic hop model prices the collectives: 1 on the default
+    mesh, higher on fabrics whose canonical die groups cannot ring cheaply.
+    """
+    return CostTables(
+        representative_layer_graph(model), list(candidates), wafer.config,
+        config, hop_factor=wafer.topology.collective_hop_factor())
 
 
 @dataclass
@@ -64,7 +86,7 @@ class DualLevelWaferSolver:
         genetic_config: Optional[GeneticConfig] = None,
         num_finalists: int = 8,
         mapping_engine: str = "tcme",
-        tables_provider=None,
+        tables_provider: Optional[TablesProvider] = None,
     ) -> None:
         if num_finalists < 1:
             raise ValueError("num_finalists must be at least 1")
@@ -74,9 +96,10 @@ class DualLevelWaferSolver:
                                                               population_size=16)
         self.num_finalists = num_finalists
         self.mapping_engine = mapping_engine
-        # Optional (model, candidates) -> CostTables hook letting the plan
-        # service share tables across solves (PlanService._tables_for).
-        self.tables_provider = tables_provider
+        # The plan service passes a provider that shares tables across
+        # solves (PlanService._tables_for); alone, a solver builds its own.
+        self.tables_provider = tables_provider or functools.partial(
+            build_cost_tables, self.wafer, self.config)
         self.simulator = WaferSimulator(self.wafer, self.config)
 
     def solve(
@@ -92,34 +115,22 @@ class DualLevelWaferSolver:
         # One plan cache per solve: pruning, finalist ranking, and finalist
         # simulation all share a single analyze_model result per (model, spec).
         plan_cache = PlanCache()
-        space = SearchSpace(
-            model=model,
-            num_devices=num_devices,
-            scheme=scheme,
-            max_tatp=max_tatp,
-            pipeline_degrees=pipeline_degrees,
-        )
         with span("solver.prune"):
-            candidates = space.pruned_candidates(
-                self.wafer.config, plan_cache=plan_cache)
-            if not candidates:
-                candidates = space.candidates()
+            candidates = candidate_specs(
+                scheme, num_devices, max_tp=min(32, model.num_heads),
+                max_tatp=max_tatp, pipeline_degrees=pipeline_degrees)
+            pruned = prune_specs(candidates, model, self.wafer.config,
+                                 plan_cache=plan_cache)
+            if pruned:
+                candidates = pruned
 
-        # One set of vectorized cost tables feeds both solver levels. A
-        # provider (the plan service's memo) hands back tables built over its
-        # own representative graph, so the solve must adopt that graph too.
+        # One set of vectorized cost tables feeds both solver levels. The
+        # tables carry the representative graph they were built over (the
+        # plan service's memo may hand back an earlier solve's), so the
+        # solve adopts that graph too.
         with span("solver.tables", candidates=len(candidates)):
-            if self.tables_provider is not None:
-                tables = self.tables_provider(model, candidates)
-                layer_graph = tables.graph
-            else:
-                layer_graph = representative_layer_graph(model)
-                # The fabric's analytic hop model: 1 on the default mesh,
-                # higher on fabrics whose canonical die groups cannot ring
-                # cheaply.
-                tables = CostTables(
-                    layer_graph, candidates, self.wafer.config, self.config,
-                    hop_factor=self.wafer.topology.collective_hop_factor())
+            tables = self.tables_provider(model, candidates)
+            layer_graph = tables.graph
 
         # Level 1: dynamic program over the representative layer.
         with span("solver.dp", candidates=len(candidates)):
@@ -140,28 +151,13 @@ class DualLevelWaferSolver:
         # Finalists: whole-model candidates ranked by the fast cost model, then
         # validated through the full simulator with the TCME mapping.
         finalists = self._select_finalists(model, candidates, plan_cache)
+        simulate_plan = functools.partial(self.simulator.simulate,
+                                          engine=self.mapping_engine)
         with span("solver.simulate", finalists=len(finalists)):
-            reports: Dict[str, SimulationReport] = {}
-            best_spec: Optional[ParallelSpec] = None
-            best_report: Optional[SimulationReport] = None
-            for spec in finalists:
-                plan = plan_cache.analyze(model, spec,
-                                          num_devices=num_devices)
-                report = self.simulator.simulate(
-                    plan, engine=self.mapping_engine)
-                reports[spec.label()] = report
-                if report.oom:
-                    continue
-                if (best_report is None
-                        or report.step_time < best_report.step_time):
-                    best_spec, best_report = spec, report
-            if best_report is None:
-                # Every finalist went OOM; fall back to the
-                # least-over-capacity one.
-                best_spec = min(
-                    finalists,
-                    key=lambda s: reports[s.label()].memory_pressure)
-                best_report = reports[best_spec.label()]
+            best_spec, best_report, _, reports = pick_best(
+                finalists, lambda spec: simulate_with_fallback(
+                    simulate_plan, plan_cache, model, spec, num_devices,
+                    allow_checkpointing=False))
 
         elapsed = time.perf_counter() - start
         return SolverResult(

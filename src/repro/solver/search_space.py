@@ -1,72 +1,29 @@
-"""Candidate-configuration enumeration and pruning.
+"""Candidate pruning and the one rule that ends every search.
 
-Given a die count, the search space of hybrid configurations grows
-combinatorially (this is Challenge 3 of the paper). The solver keeps it
-manageable with structural pruning:
-
-* degrees must be divisors of the die count,
-* the TP degree cannot exceed the number of attention heads,
-* the TATP degree is capped (the paper's sweet-spot analysis bounds useful
-  degrees at around 32),
-* configurations whose estimated per-die memory footprint already exceeds the
-  HBM capacity by a wide margin are dropped before simulation.
+The search space of hybrid configurations grows combinatorially with the die
+count (Challenge 3 of the paper). :func:`~repro.parallelism.baselines.candidate_specs`
+enumerates it; :func:`prune_specs` drops configurations whose estimated
+per-die footprint already exceeds the HBM capacity by a wide margin. Every
+search (single-wafer baselines, DLWS finalists) then simulates the survivors
+with :func:`simulate_with_fallback` and keeps what :func:`pick_best` picks:
+the fastest fit, or the least-over-capacity candidate when none fits (the
+paper's OOM bars).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro.costmodel.tables import PlanCache
-from repro.hardware.config import WaferConfig, default_wafer_config
-from repro.parallelism.baselines import BaselineScheme, candidate_specs
+from repro.hardware.config import WaferConfig
 from repro.parallelism.spec import ParallelSpec
+from repro.parallelism.strategies import ExecutionPlan
 from repro.workloads.models import ModelConfig
 
-
-@dataclass
-class SearchSpace:
-    """The candidate configurations the solver explores for one model.
-
-    Attributes:
-        model: the model being optimised.
-        num_devices: dies available.
-        scheme: which scheme's configuration space to enumerate (TEMP by
-            default — the full space including TATP).
-        max_tp: cap on tensor parallel degree.
-        max_tatp: cap on TATP degree.
-        pipeline_degrees: pipeline degrees to consider.
-    """
-
-    model: ModelConfig
-    num_devices: int
-    scheme: BaselineScheme = BaselineScheme.TEMP
-    max_tp: int = 32
-    max_tatp: int = 32
-    pipeline_degrees: Sequence[int] = (1,)
-
-    def candidates(self) -> List[ParallelSpec]:
-        """Enumerate the raw candidate configurations."""
-        max_tp = min(self.max_tp, self.model.num_heads)
-        return candidate_specs(
-            self.scheme,
-            self.num_devices,
-            max_tp=max_tp,
-            max_tatp=self.max_tatp,
-            pipeline_degrees=self.pipeline_degrees,
-        )
-
-    def pruned_candidates(
-        self,
-        wafer: Optional[WaferConfig] = None,
-        memory_margin: float = 1.5,
-        plan_cache: Optional[PlanCache] = None,
-    ) -> List[ParallelSpec]:
-        """Candidates surviving the memory-based pruning."""
-        wafer = wafer or default_wafer_config()
-        return prune_specs(
-            self.candidates(), self.model, wafer, memory_margin=memory_margin,
-            plan_cache=plan_cache)
+#: A simulation report (wafer or GPU cluster): it has ``oom`` and
+#: ``step_time``, and :func:`pick_best` also reads ``memory_pressure``.
+Report = TypeVar("Report")
 
 
 def prune_specs(
@@ -114,3 +71,57 @@ def prune_specs(
         if checkpointed.memory.total <= capacity * memory_margin:
             survivors.append(spec)
     return survivors
+
+
+def simulate_with_fallback(
+    simulate_plan: Callable[[ExecutionPlan], Report],
+    plan_cache: PlanCache,
+    model: ModelConfig,
+    spec: ParallelSpec,
+    num_devices: int,
+    allow_checkpointing: bool,
+) -> Report:
+    """Simulate one spec, retrying with activation checkpointing on OOM.
+
+    ``simulate_plan(plan)`` is the platform's simulator (a wafer or the GPU
+    cluster); the checkpointed report replaces the first one only when it
+    fits in memory.
+    """
+    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
+    report = simulate_plan(plan)
+    if report.oom and allow_checkpointing:
+        checkpointed = simulate_plan(plan_cache.analyze(
+            model, spec, num_devices=num_devices,
+            activation_checkpointing=True))
+        if not checkpointed.oom:
+            report = checkpointed
+    return report
+
+
+def pick_best(
+    specs: Sequence[ParallelSpec],
+    simulate: Callable[[ParallelSpec], Report],
+) -> Tuple[Optional[ParallelSpec], Optional[Report], bool, Dict[str, Report]]:
+    """Simulate every spec and pick the winner.
+
+    The fastest report that fits in memory wins. When every report is OOM,
+    the one with the lowest ``memory_pressure`` wins instead. Either way the
+    earlier spec wins a tie.
+
+    Returns:
+        ``(spec, report, oom, reports)``: the winner, its report, whether it
+        is OOM, and every report keyed by spec label. An empty ``specs``
+        gives ``(None, None, True, {})``.
+    """
+    outcomes = [(spec, simulate(spec)) for spec in specs]
+    reports = {spec.label(): report for spec, report in outcomes}
+    # min keeps the first of equal keys: the earlier spec wins a tie.
+    fitting = [outcome for outcome in outcomes if not outcome[1].oom]
+    if fitting:
+        spec, report = min(fitting, key=lambda outcome: outcome[1].step_time)
+        return spec, report, False, reports
+    if outcomes:
+        spec, report = min(outcomes,
+                           key=lambda outcome: outcome[1].memory_pressure)
+        return spec, report, True, reports
+    return None, None, True, reports

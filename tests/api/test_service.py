@@ -12,6 +12,7 @@ from repro.api.scenario import (
     WorkloadSpec,
 )
 from repro.api.service import PlanResult, PlanService, validate_result_payload
+from repro.experiments.fig19_multiwafer import scenario_for_multiwafer
 
 
 def _scenario(model="gpt3-6.7b", **solver_kwargs) -> Scenario:
@@ -48,6 +49,13 @@ class TestDispatch:
         assert result.num_wafers == 2
         assert result.pp_degree >= 2
         assert result.bubble_time >= 0
+
+    def test_multi_wafer_scenarios_share_the_wafer_memo(self):
+        service = PlanService()
+        for system in ("MeSP+GMap", "TEMP"):
+            service.evaluate(scenario_for_multiwafer("gpt3-175b", system))
+        assert service.stats()["memos"]["wafers"] == {
+            "hits": 1, "misses": 1, "entries": 1, "evictions": 0}
 
     def test_fault_path_zero_rate_is_lossless(self, service):
         result = service.evaluate(Scenario(

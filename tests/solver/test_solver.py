@@ -1,15 +1,19 @@
 """Tests for the search space, DP, genetic refinement, exhaustive baseline, and DLWS."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.framework import scheme_max_tp
 from repro.hardware.config import default_wafer_config
-from repro.parallelism.baselines import BaselineScheme
+from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.solver.dlws import DualLevelWaferSolver
 from repro.solver.dp import optimize_segments
 from repro.solver.exhaustive import ExhaustiveSolver
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace, prune_specs
+from repro.solver.search_space import pick_best, prune_specs
 from repro.workloads.models import get_model
 from repro.workloads.transformer import representative_layer_graph
 
@@ -34,18 +38,19 @@ def candidates():
     ]
 
 
-class TestSearchSpace:
+class TestCandidateSpace:
     def test_candidates_match_scheme(self, gpt3_6b):
-        space = SearchSpace(model=gpt3_6b, num_devices=32,
-                            scheme=BaselineScheme.TEMP)
-        specs = space.candidates()
+        specs = candidate_specs(BaselineScheme.TEMP, 32,
+                                max_tp=min(32, gpt3_6b.num_heads))
         assert specs
         assert all(spec.total_degree == 32 for spec in specs)
 
     def test_tp_capped_by_heads(self):
-        small_heads = get_model("gpt3-6.7b").with_overrides()
-        space = SearchSpace(model=small_heads, num_devices=32, max_tp=64)
-        assert all(spec.tp <= small_heads.num_heads for spec in space.candidates())
+        few_heads = replace(get_model("gpt3-6.7b"), num_heads=8)
+        specs = candidate_specs(
+            BaselineScheme.TEMP, 32,
+            max_tp=scheme_max_tp(BaselineScheme.TEMP, few_heads))
+        assert max(spec.tp for spec in specs) == few_heads.num_heads
 
     def test_pruning_drops_hopeless_configs(self, llama70b, wafer_config):
         specs = [ParallelSpec(dp=32), ParallelSpec(tatp=32)]
@@ -62,6 +67,34 @@ class TestSearchSpace:
     def test_invalid_margin(self, gpt3_6b, wafer_config):
         with pytest.raises(ValueError):
             prune_specs([], gpt3_6b, wafer_config, memory_margin=0)
+
+
+class TestPickBest:
+    @staticmethod
+    def _pick(outcomes):
+        """``pick_best`` over stub reports: ``(label, oom, step, pressure)``."""
+        specs = [ParallelSpec(dp=dp) for dp in range(1, len(outcomes) + 1)]
+        reports = {spec: SimpleNamespace(label=label, oom=oom, step_time=step,
+                                         memory_pressure=pressure)
+                   for spec, (label, oom, step, pressure)
+                   in zip(specs, outcomes)}
+        spec, report, oom, by_label = pick_best(specs, reports.__getitem__)
+        assert set(by_label) == {spec.label() for spec in specs}
+        return report.label, oom
+
+    def test_fastest_fitting_report_wins_and_earlier_wins_a_tie(self):
+        assert self._pick([("slow", False, 2.0, 0.5),
+                           ("first", False, 1.0, 0.9),
+                           ("tie", False, 1.0, 0.1),
+                           ("oom", True, 0.5, 1.5)]) == ("first", False)
+
+    def test_all_oom_picks_lowest_memory_pressure(self):
+        assert self._pick([("fast", True, 1.0, 3.0),
+                           ("first", True, 5.0, 1.2),
+                           ("tie", True, 4.0, 1.2)]) == ("first", True)
+
+    def test_empty_candidate_list(self):
+        assert pick_best([], lambda spec: None) == (None, None, True, {})
 
 
 class TestDynamicProgramming:
